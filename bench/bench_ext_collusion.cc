@@ -16,11 +16,11 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_ext_collusion", argc, argv);
 
-    exp::LocationConfig base;
-    base.fault_level = sensor::NodeClass::Level2;
-    base.correct_sigma = 1.6;
-    base.faulty_sigma = 4.25;
-    base.events = 200;
+    exp::Scenario base = exp::Scenario::location_defaults();
+    base.location.fault_level = sensor::NodeClass::Level2;
+    base.faults.correct_sigma = 1.6;
+    base.faults.faulty_sigma = 4.25;
+    base.location.events = 200;
     base.seed = 20050628;
 
     const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
@@ -30,42 +30,25 @@ int main(int argc, char** argv) {
     t.header({"% faulty", "TIBFIT (paper)", "TIBFIT + detector", "detector vs jittered echoes",
               "Baseline"});
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
-        {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.collusion_defense = true;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
-        {
-            // The arms race: adaptive colluders jitter their echoes past
-            // the detector's epsilon, restoring (most of) the attack.
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.collusion_defense = true;
-            c.collusion_jitter = 0.5;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
-        {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.policy = core::DecisionPolicy::MajorityVote;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
+        exp::Scenario c = base;
+        c.location.pct_faulty = p;
+        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        c.engine.collusion_defense = true;
+        row.push_back(exp::mean_accuracy(c, runs));
+        // The arms race: adaptive colluders jitter their echoes past the
+        // detector's epsilon, restoring (most of) the attack.
+        c.faults.collusion_jitter = 0.5;
+        row.push_back(exp::mean_accuracy(c, runs));
+        exp::Scenario baseline = base;
+        baseline.location.pct_faulty = p;
+        baseline.engine.policy = core::DecisionPolicy::MajorityVote;
+        row.push_back(exp::mean_accuracy(baseline, runs));
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.3).set("collusion_defense", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::LocationConfig c = base;
-        c.pct_faulty = 0.3;
-        c.collusion_defense = true;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario rep = base;
+    rep.location.pct_faulty = 0.3;
+    rep.engine.collusion_defense = true;
+    return io.finish(rep);
 }

@@ -16,9 +16,9 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_ext_mobility", argc, argv);
 
-    exp::LocationConfig base;
-    base.fault_level = sensor::NodeClass::Level0;
-    base.events = 200;
+    exp::Scenario base = exp::Scenario::location_defaults();
+    base.location.fault_level = sensor::NodeClass::Level0;
+    base.location.events = 200;
     base.seed = 20050628;
 
     const std::vector<double> pct = {0.10, 0.30, 0.50};
@@ -27,35 +27,20 @@ int main(int argc, char** argv) {
     util::Table t("Extension: stationary vs mobile network (level 0, TIBFIT)");
     t.header({"% faulty", "stationary", "mobile 0.5-1.5 u/s", "mobile 2-4 u/s"});
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
-        {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.mobile = true;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
-        {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.mobile = true;
-            c.speed_min = 2.0;
-            c.speed_max = 4.0;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
+        exp::Scenario c = base;
+        c.location.pct_faulty = p;
+        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        c.location.mobile = true;
+        row.push_back(exp::mean_accuracy(c, runs));
+        c.mobility.speed_min = 2.0;
+        c.mobility.speed_max = 4.0;
+        row.push_back(exp::mean_accuracy(c, runs));
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.3).set("mobile", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::LocationConfig c = base;
-        c.pct_faulty = 0.3;
-        c.mobile = true;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario rep = base;
+    rep.location.pct_faulty = 0.3;
+    rep.location.mobile = true;
+    return io.finish(rep);
 }

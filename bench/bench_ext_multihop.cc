@@ -18,9 +18,9 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_ext_multihop", argc, argv);
 
-    exp::LocationConfig base;
-    base.fault_level = sensor::NodeClass::Level0;
-    base.events = 200;
+    exp::Scenario base = exp::Scenario::location_defaults();
+    base.location.fault_level = sensor::NodeClass::Level0;
+    base.location.events = 200;
     base.seed = 20050628;
 
     const std::vector<double> pct = {0.10, 0.30, 0.50, 0.58};
@@ -29,29 +29,21 @@ int main(int argc, char** argv) {
     util::Table t("Extension: single-hop vs multi-hop report collection (level 0, TIBFIT)");
     t.header({"% faulty", "single-hop", "multi-hop (range 30)", "multi-hop (range 25)"});
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            row.push_back(exp::mean_location_accuracy(c, runs));
-        }
+        exp::Scenario c = base;
+        c.location.pct_faulty = p;
+        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        c.location.multihop = true;
         for (double range : {30.0, 25.0}) {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.multihop = true;
-            c.radio_range = range;
-            row.push_back(exp::mean_location_accuracy(c, runs));
+            c.location.radio_range = range;
+            row.push_back(exp::mean_accuracy(c, runs));
         }
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.3).set("multihop", true).set("radio_range", 30.0);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::LocationConfig c = base;
-        c.pct_faulty = 0.3;
-        c.multihop = true;
-        c.radio_range = 30.0;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario rep = base;
+    rep.location.pct_faulty = 0.3;
+    rep.location.multihop = true;
+    rep.location.radio_range = 30.0;
+    return io.finish(rep);
 }

@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_ext_sch", argc, argv);
 
-    exp::BinaryConfig base;
-    base.n_nodes = 10;
-    base.events = 100;
-    base.lambda = 0.1;
-    base.missed_alarm_rate = 0.5;
-    base.channel_drop = 0.0;
+    exp::Scenario base = exp::Scenario::binary_defaults();
+    base.binary.n_nodes = 10;
+    base.binary.events = 100;
+    base.engine.trust.lambda = 0.1;
+    base.faults.missed_alarm_rate = 0.5;
+    base.channel.drop_probability = 0.0;
     base.seed = 20050628;
 
     const std::vector<double> pct = {0.40, 0.60, 0.80};
@@ -33,35 +33,20 @@ int main(int argc, char** argv) {
     t.header({"% faulty nodes", "honest CH", "corrupt CH, no shadows",
               "corrupt CH + shadows"});
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        {
-            exp::BinaryConfig c = base;
-            c.pct_faulty = p;
-            row.push_back(exp::mean_binary_accuracy(c, runs));
-        }
-        {
-            exp::BinaryConfig c = base;
-            c.pct_faulty = p;
-            c.corrupt_ch = true;
-            row.push_back(exp::mean_binary_accuracy(c, runs));
-        }
-        {
-            exp::BinaryConfig c = base;
-            c.pct_faulty = p;
-            c.corrupt_ch = true;
-            c.use_shadows = true;
-            row.push_back(exp::mean_binary_accuracy(c, runs));
-        }
+        exp::Scenario c = base;
+        c.binary.pct_faulty = p;
+        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        c.binary.corrupt_ch = true;
+        row.push_back(exp::mean_accuracy(c, runs));
+        c.binary.use_shadows = true;
+        row.push_back(exp::mean_accuracy(c, runs));
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.6).set("corrupt_ch", true).set("use_shadows", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::BinaryConfig c = base;
-        c.pct_faulty = 0.6;
-        c.corrupt_ch = true;
-        c.use_shadows = true;
-        c.recorder = &rec;
-        exp::run_binary_experiment(c);
-    });
+    exp::Scenario rep = base;
+    rep.binary.pct_faulty = 0.6;
+    rep.binary.corrupt_ch = true;
+    rep.binary.use_shadows = true;
+    return io.finish(rep);
 }

@@ -54,11 +54,8 @@ int main(int argc, char** argv) {
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario s = base;
-        s.binary.pct_faulty = 0.5;
-        s.faults.natural_error_rate = 0.01;
-        s.recorder = &rec;
-        exp::run_binary_experiment(s);
-    });
+    exp::Scenario rep = base;
+    rep.binary.pct_faulty = 0.5;
+    rep.faults.natural_error_rate = 0.01;
+    return io.finish(rep);
 }

@@ -58,12 +58,9 @@ int main(int argc, char** argv) {
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.3).set("correct_sigma", 1.6).set("faulty_sigma", 4.25);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario sc = base;
-        sc.location.pct_faulty = 0.3;
-        sc.faults.correct_sigma = 1.6;
-        sc.faults.faulty_sigma = 4.25;
-        sc.recorder = &rec;
-        exp::run_location_experiment(sc);
-    });
+    exp::Scenario rep = base;
+    rep.location.pct_faulty = 0.3;
+    rep.faults.correct_sigma = 1.6;
+    rep.faults.faulty_sigma = 4.25;
+    return io.finish(rep);
 }

@@ -17,9 +17,9 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_fig5", argc, argv);
 
-    exp::LocationConfig base;
-    base.fault_level = sensor::NodeClass::Level1;
-    base.events = 200;
+    exp::Scenario base = exp::Scenario::location_defaults();
+    base.location.fault_level = sensor::NodeClass::Level1;
+    base.location.events = 200;
     base.seed = 20050628;
 
     const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
@@ -41,23 +41,20 @@ int main(int argc, char** argv) {
     for (double p : pct) {
         std::vector<double> row{100.0 * p};
         for (const auto& s : series) {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.correct_sigma = s.cs;
-            c.faulty_sigma = s.fs;
-            c.policy = s.policy;
-            row.push_back(exp::mean_location_accuracy(c, runs));
+            exp::Scenario c = base;
+            c.location.pct_faulty = p;
+            c.faults.correct_sigma = s.cs;
+            c.faults.faulty_sigma = s.fs;
+            c.engine.policy = s.policy;
+            row.push_back(exp::mean_accuracy(c, runs));
         }
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.3).set("correct_sigma", 1.6).set("faulty_sigma", 4.25);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::LocationConfig c = base;
-        c.pct_faulty = 0.3;
-        c.correct_sigma = 1.6;
-        c.faulty_sigma = 4.25;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario rep = base;
+    rep.location.pct_faulty = 0.3;
+    rep.faults.correct_sigma = 1.6;
+    rep.faults.faulty_sigma = 4.25;
+    return io.finish(rep);
 }

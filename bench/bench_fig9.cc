@@ -12,14 +12,14 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_fig9", argc, argv);
 
-    exp::LocationConfig base;
-    base.fault_level = sensor::NodeClass::Level0;
-    base.decay = true;
-    base.decay_initial = 0.05;
-    base.decay_step = 0.05;
-    base.decay_final = 0.75;
-    base.decay_epoch_events = 50;
-    base.epoch_events = 50;
+    exp::Scenario base = exp::Scenario::location_defaults();
+    base.location.fault_level = sensor::NodeClass::Level0;
+    base.location.decay = true;
+    base.location.decay_initial = 0.05;
+    base.location.decay_step = 0.05;
+    base.location.decay_final = 0.75;
+    base.location.decay_epoch_events = 50;
+    base.location.epoch_events = 50;
     base.seed = 20050628;
 
     struct Series {
@@ -37,10 +37,10 @@ int main(int argc, char** argv) {
 
     std::vector<std::vector<double>> curves;
     for (const auto& s : series) {
-        exp::LocationConfig c = base;
-        c.correct_sigma = s.cs;
-        c.faulty_sigma = 6.0;
-        c.policy = s.policy;
+        exp::Scenario c = base;
+        c.faults.correct_sigma = s.cs;
+        c.faults.faulty_sigma = 6.0;
+        c.engine.policy = s.policy;
         curves.push_back(exp::mean_epoch_accuracy(c, runs));
     }
 
@@ -49,19 +49,16 @@ int main(int argc, char** argv) {
               series[3].name});
     const std::size_t epochs = curves[0].size();
     for (std::size_t e = 0; e < epochs; ++e) {
-        std::vector<double> row;
-        row.push_back(static_cast<double>((e + 1) * base.decay_epoch_events));
-        row.push_back(100.0 * (base.decay_initial + base.decay_step * static_cast<double>(e)));
+        const exp::LocationWorkload& wl = base.location;
+        const double pct = wl.decay_initial + wl.decay_step * static_cast<double>(e);
+        std::vector<double> row{static_cast<double>((e + 1) * wl.decay_epoch_events), 100.0 * pct};
         for (const auto& c : curves) row.push_back(e < c.size() ? c[e] : 0.0);
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("correct_sigma", 1.6).set("faulty_sigma", 6.0).set("decay", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::LocationConfig c = base;
-        c.correct_sigma = 1.6;
-        c.faulty_sigma = 6.0;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario rep = base;
+    rep.faults.correct_sigma = 1.6;
+    rep.faults.faulty_sigma = 6.0;
+    return io.finish(rep);
 }

@@ -173,16 +173,13 @@ int main(int argc, char** argv) {
     }
 
     io.params().set("events", static_cast<long>(events)).set("pct_faulty", 0.4);
-    return io.finish([&](obs::Recorder& rec) {
-        // Representative instrumented run: the warm-handoff failover arm
-        // (or the replayed campaign when one was given), so the artifact's
-        // registry carries the inject.* counters the CI golden gates on.
-        exp::Scenario s = have_replay ? replay : fb;
-        if (!have_replay) {
-            s.binary.pct_faulty = 0.4;
-            s.campaign = failover_campaign(kill_at, true, degrade);
-        }
-        s.recorder = &rec;
-        exp::run_binary_experiment(s);
-    });
+    // Representative instrumented run: the warm-handoff failover arm (or
+    // the replayed campaign when one was given), so the artifact's registry
+    // carries the inject.* counters the CI golden gates on.
+    exp::Scenario rep = have_replay ? replay : fb;
+    if (!have_replay) {
+        rep.binary.pct_faulty = 0.4;
+        rep.campaign = failover_campaign(kill_at, true, degrade);
+    }
+    return io.finish(rep);
 }

@@ -13,8 +13,7 @@
 //
 // Observability: `--metrics <path>` writes the run's metrics registry as a
 // human-readable summary; `--trace <path>` writes the structured decision
-// trace as JSONL (see docs/OBSERVABILITY.md). The legacy `trace=<path>`
-// CSV dump of mode=location is unchanged.
+// trace as JSONL (see docs/OBSERVABILITY.md).
 //
 // Parallelism: with runs>1 the replications fan out across threads —
 // `--jobs <n>` or env TIBFIT_JOBS picks the width (default: hardware
@@ -33,7 +32,6 @@
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
 #include "exp/sweep.h"
-#include "exp/trace.h"
 #include "obs/recorder.h"
 #include "par/jobs.h"
 #include "util/config.h"
@@ -78,131 +76,108 @@ sensor::NodeClass parse_level(long level) {
 
 /// Reports the self-check tallies after an instrumented run; the exit
 /// code turns nonzero on any oracle divergence so scripts can gate on it.
-int report_check(check::Mode mode, std::size_t checked, std::size_t divergences) {
+int report_check(check::Mode mode, const exp::RunResult& r) {
     if (mode == check::Mode::Off) return 0;
     std::printf("check: mode=%s checked=%zu divergences=%zu invariant_violations=%llu\n",
-                check::mode_name(mode), checked, divergences,
+                check::mode_name(mode), r.checked_decisions, r.oracle_divergences,
                 static_cast<unsigned long long>(util::invariant_violations()));
-    return divergences ? 1 : 0;
+    return r.oracle_divergences ? 1 : 0;
 }
 
-int run_binary(const util::Config& args, obs::Recorder* rec, check::Mode check_mode) {
-    exp::BinaryConfig c;
-    c.recorder = rec;
-    c.n_nodes = static_cast<std::size_t>(args.get_int("n_nodes", 10));
-    c.pct_faulty = args.get_double("pct_faulty", 0.5);
-    c.correct_ner = args.get_double("correct_ner", 0.01);
-    c.missed_alarm_rate = args.get_double("missed_alarm_rate", 0.5);
-    c.false_alarm_rate = args.get_double("false_alarm_rate", 0.0);
-    c.events = static_cast<std::size_t>(args.get_int("events", 100));
-    c.policy = parse_policy(args.get_string("policy", "tibfit"));
-    c.lambda = args.get_double("lambda", 0.1);
-    c.fault_rate = args.get_double("fault_rate", -1.0);
-    c.removal_ti = args.get_double("removal_ti", 0.0);
-    c.t_out = args.get_double("t_out", 1.0);
-    c.channel_drop = args.get_double("channel_drop", 0.0);
-    c.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    const auto runs = static_cast<std::size_t>(args.get_int("runs", 1));
+exp::Scenario binary_scenario(const util::Config& args) {
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.binary.n_nodes = static_cast<std::size_t>(args.get_int("n_nodes", 10));
+    s.binary.pct_faulty = args.get_double("pct_faulty", 0.5);
+    s.faults.natural_error_rate = args.get_double("correct_ner", 0.01);
+    s.faults.missed_alarm_rate = args.get_double("missed_alarm_rate", 0.5);
+    s.faults.false_alarm_rate = args.get_double("false_alarm_rate", 0.0);
+    s.binary.events = static_cast<std::size_t>(args.get_int("events", 100));
+    s.engine.policy = parse_policy(args.get_string("policy", "tibfit"));
+    s.engine.trust.lambda = args.get_double("lambda", 0.1);
+    s.engine.trust.fault_rate = args.get_double("fault_rate", -1.0);
+    s.engine.trust.removal_ti = args.get_double("removal_ti", 0.0);
+    s.engine.t_out = args.get_double("t_out", 1.0);
+    s.channel.drop_probability = args.get_double("channel_drop", 0.0);
+    s.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    return s;
+}
 
-    exp::Scenario s = exp::to_scenario(c);
-    s.check.mode = check_mode;
-    if (runs > 1) {
+exp::Scenario location_scenario(const util::Config& args, bool decay) {
+    exp::Scenario s = exp::Scenario::location_defaults();
+    s.location.n_nodes = static_cast<std::size_t>(args.get_int("n_nodes", 100));
+    s.location.grid_layout = args.get_bool("grid", true);
+    s.deployment.sensing_radius = args.get_double("sensing_radius", 20.0);
+    s.engine.r_error = args.get_double("r_error", 5.0);
+    s.engine.t_out = args.get_double("t_out", 1.0);
+    s.location.pct_faulty = args.get_double("pct_faulty", 0.3);
+    s.location.fault_level = parse_level(args.get_int("level", 0));
+    s.faults.correct_sigma = args.get_double("correct_sigma", 1.6);
+    s.faults.faulty_sigma = args.get_double("faulty_sigma", 4.25);
+    s.faults.faulty_drop_rate = args.get_double("faulty_drop_rate", 0.25);
+    s.engine.policy = parse_policy(args.get_string("policy", "tibfit"));
+    s.engine.trust.lambda = args.get_double("lambda", 0.25);
+    s.engine.trust.fault_rate = args.get_double("fault_rate", 0.1);
+    s.engine.trust.removal_ti = args.get_double("removal_ti", 0.05);
+    s.engine.collusion_defense = args.get_bool("collusion_defense", false);
+    s.faults.collusion_jitter = args.get_double("collusion_jitter", 0.0);
+    s.engine.trust_weighted_location = args.get_bool("weighted_location", false);
+    s.location.multihop = args.get_bool("multihop", false);
+    s.location.radio_range = args.get_double("radio_range", 30.0);
+    s.location.mobile = args.get_bool("mobile", false);
+    s.mobility.speed_min = args.get_double("speed_min", 0.5);
+    s.mobility.speed_max = args.get_double("speed_max", 1.5);
+    s.location.n_ch = static_cast<std::size_t>(args.get_int("n_ch", 5));
+    s.location.rotation_period = static_cast<std::size_t>(args.get_int("rotation_period", 20));
+    s.location.events = static_cast<std::size_t>(args.get_int("events", 200));
+    s.location.burst = static_cast<std::size_t>(args.get_int("burst", 1));
+    s.channel.drop_probability = args.get_double("channel_drop", 0.01);
+    s.channel.airtime = args.get_double("channel_airtime", 0.0);
+    s.location.tx_jitter = args.get_double("tx_jitter", 0.0);
+    s.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    s.location.epoch_events = static_cast<std::size_t>(args.get_int("epoch_events", 50));
+    if (decay) {
+        s.location.decay = true;
+        s.location.decay_initial = args.get_double("decay_initial", 0.05);
+        s.location.decay_step = args.get_double("decay_step", 0.05);
+        s.location.decay_final = args.get_double("decay_final", 0.75);
+        s.location.decay_epoch_events = s.location.epoch_events;
+    }
+    return s;
+}
+
+/// Runs the scenario and prints its result row (or, for mode=decay, the
+/// per-epoch series); with runs>1 prints the mean accuracy instead.
+int run(const std::string& mode, const util::Config& args, const exp::Scenario& s) {
+    const auto runs = static_cast<std::size_t>(args.get_int("runs", 1));
+    if (mode != "decay" && runs > 1) {
         std::printf("accuracy (mean of %zu runs): %.4f\n", runs, exp::mean_accuracy(s, runs));
         return 0;
     }
-    const auto r = exp::run_binary_experiment(s);
-    std::printf("accuracy=%.4f detection=%.4f events=%zu detected=%zu "
-                "phantom_windows=%zu phantoms_declared=%zu ti_correct=%.3f ti_faulty=%.3f\n",
-                r.accuracy, r.detection_rate, r.events, r.detected, r.false_alarm_windows,
-                r.phantoms_declared, r.mean_ti_correct, r.mean_ti_faulty);
-    return report_check(check_mode, r.checked_decisions, r.oracle_divergences);
-}
-
-exp::LocationConfig location_config(const util::Config& args) {
-    exp::LocationConfig c;
-    c.n_nodes = static_cast<std::size_t>(args.get_int("n_nodes", 100));
-    c.grid_layout = args.get_bool("grid", true);
-    c.sensing_radius = args.get_double("sensing_radius", 20.0);
-    c.r_error = args.get_double("r_error", 5.0);
-    c.t_out = args.get_double("t_out", 1.0);
-    c.pct_faulty = args.get_double("pct_faulty", 0.3);
-    c.fault_level = parse_level(args.get_int("level", 0));
-    c.correct_sigma = args.get_double("correct_sigma", 1.6);
-    c.faulty_sigma = args.get_double("faulty_sigma", 4.25);
-    c.faulty_drop_rate = args.get_double("faulty_drop_rate", 0.25);
-    c.policy = parse_policy(args.get_string("policy", "tibfit"));
-    c.lambda = args.get_double("lambda", 0.25);
-    c.fault_rate = args.get_double("fault_rate", 0.1);
-    c.removal_ti = args.get_double("removal_ti", 0.05);
-    c.collusion_defense = args.get_bool("collusion_defense", false);
-    c.collusion_jitter = args.get_double("collusion_jitter", 0.0);
-    c.trust_weighted_location = args.get_bool("weighted_location", false);
-    c.multihop = args.get_bool("multihop", false);
-    c.radio_range = args.get_double("radio_range", 30.0);
-    c.mobile = args.get_bool("mobile", false);
-    c.speed_min = args.get_double("speed_min", 0.5);
-    c.speed_max = args.get_double("speed_max", 1.5);
-    c.n_ch = static_cast<std::size_t>(args.get_int("n_ch", 5));
-    c.rotation_period = static_cast<std::size_t>(args.get_int("rotation_period", 20));
-    c.events = static_cast<std::size_t>(args.get_int("events", 200));
-    c.burst = static_cast<std::size_t>(args.get_int("burst", 1));
-    c.channel_drop = args.get_double("channel_drop", 0.01);
-    c.channel_airtime = args.get_double("channel_airtime", 0.0);
-    c.tx_jitter = args.get_double("tx_jitter", 0.0);
-    c.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    c.epoch_events = static_cast<std::size_t>(args.get_int("epoch_events", 50));
-    return c;
-}
-
-int run_location(const util::Config& args, obs::Recorder* rec, check::Mode check_mode) {
-    exp::LocationConfig c = location_config(args);
-    c.recorder = rec;
-    const auto runs = static_cast<std::size_t>(args.get_int("runs", 1));
-    const std::string trace_path = args.get_string("trace", "");
-    c.keep_trace = !trace_path.empty();
-    exp::Scenario s = exp::to_scenario(c);
-    s.check.mode = check_mode;
-    if (runs > 1) {
-        std::printf("accuracy (mean of %zu runs): %.4f\n", runs, exp::mean_accuracy(s, runs));
-        return 0;
+    if (mode == "binary") {
+        const auto r = exp::run_binary_experiment(s);
+        std::printf("accuracy=%.4f detection=%.4f events=%zu detected=%zu "
+                    "phantom_windows=%zu phantoms_declared=%zu ti_correct=%.3f ti_faulty=%.3f\n",
+                    r.accuracy, r.detection_rate, r.events, r.detected, r.false_alarm_windows,
+                    r.phantoms_declared, r.mean_ti_correct, r.mean_ti_faulty);
+        return report_check(s.check.mode, r);
     }
-    const auto r = run_location_experiment(s);
-    std::printf("accuracy=%.4f events=%zu detected=%zu false_positives=%zu isolated=%zu "
-                "ti_correct=%.3f ti_faulty=%.3f\n",
-                r.accuracy, r.events, r.detected, r.false_positives, r.isolated,
-                r.mean_ti_correct, r.mean_ti_faulty);
-    if (!trace_path.empty()) {
-        std::ofstream out(trace_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot open trace file '%s'\n", trace_path.c_str());
-            return 1;
-        }
-        exp::write_trace_csv(out, r.trace_events, r.trace_decisions);
-        std::printf("trace written to %s (%zu events, %zu decisions)\n", trace_path.c_str(),
-                    r.trace_events.size(), r.trace_decisions.size());
+    const auto r = exp::run_location_experiment(s);
+    if (mode == "location") {
+        std::printf("accuracy=%.4f events=%zu detected=%zu false_positives=%zu isolated=%zu "
+                    "ti_correct=%.3f ti_faulty=%.3f\n",
+                    r.accuracy, r.events, r.detected, r.false_positives, r.isolated,
+                    r.mean_ti_correct, r.mean_ti_faulty);
+        return report_check(s.check.mode, r);
     }
-    return report_check(check_mode, r.checked_decisions, r.oracle_divergences);
-}
-
-int run_decay(const util::Config& args, obs::Recorder* rec, check::Mode check_mode) {
-    exp::LocationConfig c = location_config(args);
-    c.recorder = rec;
-    c.decay = true;
-    c.decay_initial = args.get_double("decay_initial", 0.05);
-    c.decay_step = args.get_double("decay_step", 0.05);
-    c.decay_final = args.get_double("decay_final", 0.75);
-    c.decay_epoch_events = c.epoch_events;
-    exp::Scenario s = exp::to_scenario(c);
-    s.check.mode = check_mode;
-    const auto r = run_location_experiment(s);
+    const exp::LocationWorkload& wl = s.location;
     std::printf("epoch  %%compromised  accuracy\n");
     for (std::size_t e = 0; e < r.epoch_accuracy.size(); ++e) {
         std::printf("%4zu   %6.1f%%      %.4f\n", e + 1,
-                    100.0 * (c.decay_initial + c.decay_step * static_cast<double>(e)),
+                    100.0 * (wl.decay_initial + wl.decay_step * static_cast<double>(e)),
                     r.epoch_accuracy[e]);
     }
     std::printf("overall accuracy=%.4f isolated=%zu\n", r.accuracy, r.isolated);
-    return report_check(check_mode, r.checked_decisions, r.oracle_divergences);
+    return report_check(s.check.mode, r);
 }
 
 }  // namespace
@@ -258,19 +233,23 @@ int main(int argc, char** argv) {
     }
 
     const std::string mode = args.get_string("mode", "location");
+    if (mode != "binary" && mode != "location" && mode != "decay") {
+        std::fprintf(stderr, "unknown mode '%s' (binary|location|decay)\n", mode.c_str());
+        print_keys();
+        return 2;
+    }
+    exp::Scenario s =
+        mode == "binary" ? binary_scenario(args) : location_scenario(args, mode == "decay");
+    s.recorder = rec;
+    s.check.mode = check_mode;
     int rc;
     try {
-        if (mode == "binary") {
-            rc = run_binary(args, rec, check_mode);
-        } else if (mode == "decay") {
-            rc = run_decay(args, rec, check_mode);
-        } else if (mode == "location") {
-            rc = run_location(args, rec, check_mode);
-        } else {
-            std::fprintf(stderr, "unknown mode '%s' (binary|location|decay)\n", mode.c_str());
-            print_keys();
-            return 2;
-        }
+        rc = run(mode, args, s);
+    } catch (const std::invalid_argument& e) {
+        // Scenario::validate() rejected the knobs, one message per line.
+        // Caught first: invalid_argument is itself a logic_error.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     } catch (const std::logic_error& e) {
         // check=assert aborts the run on the first divergence or
         // invariant violation.

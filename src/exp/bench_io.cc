@@ -9,6 +9,7 @@
 #include <string>
 
 #include "exp/binary_experiment.h"
+#include "exp/location_experiment.h"
 #include "obs/artifact.h"
 #include "obs/recorder.h"
 #include "par/jobs.h"
@@ -184,6 +185,17 @@ int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
         return 1;
     }
     return 0;
+}
+
+int BenchIo::finish(Scenario representative) {
+    return finish([&](obs::Recorder& rec) {
+        representative.recorder = &rec;
+        if (representative.kind == Scenario::Kind::Binary) {
+            run_binary_experiment(representative);
+        } else {
+            run_location_experiment(representative);
+        }
+    });
 }
 
 void instrument_default_run(obs::Recorder& rec) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/scenario.h"
 #include "util/config.h"
 #include "util/table.h"
 
@@ -94,6 +95,9 @@ class BenchIo {
     /// artifact; without a callback, a small default binary run supplies
     /// the metrics. Returns the process exit code.
     int finish(const std::function<void(obs::Recorder&)>& instrument = {});
+    /// Same, with the representative experiment given as a scenario: it
+    /// runs (binary or location by kind) with the Recorder attached.
+    int finish(Scenario representative);
 
   private:
     struct DeclaredOption {

@@ -1,24 +1,15 @@
 #include "exp/binary_experiment.h"
 
 #include <algorithm>
-#include <memory>
-#include <numeric>
 #include <optional>
 #include <vector>
 
-#include "check/shadow_arbiter.h"
 #include "cluster/base_station.h"
 #include "cluster/cluster_head.h"
 #include "cluster/shadow.h"
-#include "inject/campaign.h"
-#include "net/channel.h"
-#include "net/routing.h"
+#include "exp/world.h"
 #include "obs/names.h"
 #include "obs/recorder.h"
-#include "sensor/event_generator.h"
-#include "sensor/sensor_node.h"
-#include "sim/simulator.h"
-#include "util/invariant.h"
 
 namespace tibfit::exp {
 
@@ -29,112 +20,21 @@ constexpr double kBigRadius = 1000.0;
 
 }  // namespace
 
-Scenario to_scenario(const BinaryConfig& c) {
-    Scenario s = Scenario::binary_defaults();
-    s.seed = c.seed;
-    s.engine.policy = c.policy;
-    s.engine.t_out = c.t_out;
-    s.engine.trust.lambda = c.lambda;
-    s.engine.trust.fault_rate = c.fault_rate;
-    s.engine.trust.removal_ti = c.removal_ti;
-    s.channel.drop_probability = c.channel_drop;
-    s.faults.natural_error_rate = c.correct_ner;
-    s.faults.missed_alarm_rate = c.missed_alarm_rate;
-    s.faults.false_alarm_rate = c.false_alarm_rate;
-    s.binary.n_nodes = c.n_nodes;
-    s.binary.pct_faulty = c.pct_faulty;
-    s.binary.false_alarm_spread_touts = c.false_alarm_spread_touts;
-    s.binary.events = c.events;
-    s.binary.event_interval = c.event_interval;
-    s.binary.use_shadows = c.use_shadows;
-    s.binary.corrupt_ch = c.corrupt_ch;
-    s.recorder = c.recorder;
-    s.keep_decisions = c.keep_decisions;
-    return s;
-}
-
-BinaryResult run_binary_experiment(const BinaryConfig& config) {
-    return run_binary_experiment(to_scenario(config));
-}
-
 BinaryResult run_binary_experiment(const Scenario& scenario) {
     const BinaryWorkload& wl = scenario.binary;
+    World w(scenario, Scenario::Kind::Binary,
+            {wl.n_nodes, wl.pct_faulty, sensor::NodeClass::Level0, kBigRadius});
     const double field = scenario.deployment.field;
     const std::size_t n_nodes = wl.n_nodes;
+    net::Channel& channel = w.channel;
 
-    sim::Simulator simulator;
-    util::Rng root(scenario.seed);
+    w.add_nodes(w.random_positions(), kBigRadius);
 
-    obs::Recorder* rec = scenario.recorder;
-    if (rec) {
-        obs::preregister_standard_metrics(rec->metrics());
-        rec->set_clock([&simulator] { return simulator.now(); });
-    }
-
-    net::Channel channel(simulator, root.stream("channel"), scenario.channel);
-    channel.set_recorder(rec);
-
-    // One Campaign per run; its streams derive from the run's root, so a
-    // campaign replayed under a different trial seed reshuffles its coins
-    // exactly like every other component.
-    std::optional<inject::Campaign> campaign;
-    if (scenario.campaign.enabled()) {
-        campaign.emplace(scenario.campaign, simulator, root.stream("inject"));
-        campaign->set_recorder(rec);
-        campaign->arm_channel(channel);
-    }
-
-    const core::TrustParams trust = scenario.effective_trust();
-    sensor::FaultParams faults = scenario.faults;  // mutable: fault-rate shifts
-
-    // Choose which nodes are faulty (uniformly, deterministic per seed).
-    // The shuffled order doubles as the compromise order for campaign
-    // onsets: raising the compromised fraction extends the same prefix.
-    const auto n_faulty =
-        static_cast<std::size_t>(wl.pct_faulty * static_cast<double>(n_nodes) + 0.5);
-    std::vector<bool> faulty(n_nodes, false);
-    std::vector<std::size_t> order(n_nodes);
-    std::iota(order.begin(), order.end(), 0);
-    {
-        util::Rng pick = root.stream("select");
-        for (std::size_t i = order.size(); i > 1; --i) {
-            std::swap(order[i - 1], order[pick.uniform_index(i)]);
-        }
-        for (std::size_t i = 0; i < n_faulty && i < order.size(); ++i) faulty[order[i]] = true;
-    }
-
-    // Build the population.
-    util::Rng placement = root.stream("placement");
-    std::vector<util::Vec2> positions(n_nodes);
-    std::vector<std::unique_ptr<sensor::SensorNode>> nodes;
-    nodes.reserve(n_nodes);
     const auto ch_id = static_cast<sim::ProcessId>(n_nodes);
-    for (std::size_t i = 0; i < n_nodes; ++i) {
-        positions[i] = placement.point_in_rect(field, field);
-        std::unique_ptr<sensor::FaultBehavior> behavior;
-        if (faulty[i]) {
-            behavior = std::make_unique<sensor::Level0Fault>(faults, /*binary_mode=*/true);
-        } else {
-            behavior = std::make_unique<sensor::CorrectBehavior>(faults);
-        }
-        auto node = std::make_unique<sensor::SensorNode>(
-            simulator, static_cast<sim::ProcessId>(i), positions[i], kBigRadius,
-            net::Radio(channel, static_cast<sim::ProcessId>(i)), std::move(behavior),
-            root.stream("node", i), trust);
-        node->set_binary_mode(true);
-        node->set_cluster_head(ch_id);
-        channel.attach(*node, positions[i], kBigRadius);
-        nodes.push_back(std::move(node));
-    }
-
-    core::EngineConfig engine_cfg = scenario.engine;
-    engine_cfg.sensing_radius = kBigRadius;
-    engine_cfg.trust = trust;
-
-    cluster::ClusterHead ch(simulator, ch_id, net::Radio(channel, ch_id), engine_cfg);
-    ch.set_recorder(rec);
+    cluster::ClusterHead ch(w.simulator, ch_id, net::Radio(channel, ch_id), w.engine);
+    w.add_head(ch);
     ch.set_binary_mode(true);
-    ch.set_topology(positions);
+    ch.set_topology(w.positions);
     ch.set_corrupt(wl.corrupt_ch);
     channel.attach(ch, {field / 2.0, field / 2.0}, kBigRadius);
     channel.set_drop_probability(ch_id, 0.0);  // control traffic is reliable
@@ -148,22 +48,20 @@ BinaryResult run_binary_experiment(const Scenario& scenario) {
     std::optional<cluster::BaseStation> station;
     if (wl.use_shadows) {
         ch.set_base_station(bs_id);
-        sch1.emplace(simulator, sch1_id, net::Radio(channel, sch1_id), engine_cfg, ch_id,
-                     bs_id);
-        sch2.emplace(simulator, sch2_id, net::Radio(channel, sch2_id), engine_cfg, ch_id,
-                     bs_id);
+        sch1.emplace(w.simulator, sch1_id, net::Radio(channel, sch1_id), w.engine, ch_id, bs_id);
+        sch2.emplace(w.simulator, sch2_id, net::Radio(channel, sch2_id), w.engine, ch_id, bs_id);
         for (auto* s : {&*sch1, &*sch2}) {
             s->set_binary_mode(true);
-            s->set_topology(positions);
+            s->set_topology(w.positions);
         }
         channel.attach(*sch1, {field / 2.0 + 1.0, field / 2.0}, kBigRadius);
         channel.attach(*sch2, {field / 2.0 - 1.0, field / 2.0}, kBigRadius);
-        channel.set_drop_probability(sch1_id, 0.0);
-        channel.set_drop_probability(sch2_id, 0.0);
-        channel.add_monitor(sch1_id, ch_id);
-        channel.add_monitor(sch2_id, ch_id);
-        station.emplace(simulator, bs_id, net::Radio(channel, bs_id), trust,
-                        /*alert_wait=*/engine_cfg.t_out / 2.0);
+        for (const auto id : {sch1_id, sch2_id}) {
+            channel.set_drop_probability(id, 0.0);
+            channel.add_monitor(id, ch_id);
+        }
+        station.emplace(w.simulator, bs_id, net::Radio(channel, bs_id), w.trust,
+                        /*alert_wait=*/w.engine.t_out / 2.0);
         channel.attach(*station, {field / 2.0, field + 20.0}, kBigRadius);
         channel.set_drop_probability(bs_id, 0.0);
     }
@@ -172,153 +70,69 @@ BinaryResult run_binary_experiment(const Scenario& scenario) {
     // the start but inactive, so it costs nothing until the kill event.
     const auto standby_id = static_cast<sim::ProcessId>(n_nodes + 4);
     std::optional<cluster::ClusterHead> standby;
-    const bool has_failover = campaign && !scenario.campaign.failovers.empty();
-    if (has_failover) {
-        standby.emplace(simulator, standby_id, net::Radio(channel, standby_id), engine_cfg);
-        standby->set_recorder(rec);
+    if (w.campaign && !scenario.campaign.failovers.empty()) {
+        standby.emplace(w.simulator, standby_id, net::Radio(channel, standby_id), w.engine);
+        w.add_head(*standby);
         standby->set_binary_mode(true);
-        standby->set_topology(positions);
+        standby->set_topology(w.positions);
         standby->set_active(false);
         channel.attach(*standby, {field / 2.0, field / 2.0 + 1.5}, kBigRadius);
         channel.set_drop_probability(standby_id, 0.0);
-    }
-
-    // Self-checking: enable invariant evaluation for the duration of the
-    // run and attach one lockstep oracle per decision engine. With
-    // check.mode off the globals are untouched and no hook fires.
-    const bool check_on = scenario.check.mode != check::Mode::Off;
-    const bool check_abort = scenario.check.mode == check::Mode::Assert;
-    std::optional<util::ScopedInvariantAction> check_scope;
-    std::optional<check::ShadowArbiter> ch_shadow, standby_shadow;
-    if (check_on) {
-        check_scope.emplace(check_abort ? util::InvariantAction::Throw
-                                        : util::InvariantAction::Count);
-        ch_shadow.emplace(engine_cfg, check_abort);
-        ch_shadow->set_recorder(rec);
-        ch.engine().set_checker(&*ch_shadow);
-        if (standby) {
-            standby_shadow.emplace(engine_cfg, check_abort);
-            standby_shadow->set_recorder(rec);
-            standby->engine().set_checker(&*standby_shadow);
-        }
+        w.campaign->on_failover([&](const inject::ChFailover& f, bool recovering) {
+            cluster::ClusterHead& from = recovering ? *standby : ch;
+            cluster::ClusterHead& to = recovering ? ch : *standby;
+            const core::TrustCheckpoint ckpt = from.engine().trust().checkpoint();
+            from.set_active(false);
+            // begin_leadership reactivates `to` and re-attaches its
+            // recorder; cold handoff hands over a fresh table instead.
+            to.begin_leadership(f.warm_handoff ? core::TrustManager::restore(ckpt, w.rec)
+                                               : core::TrustManager(w.trust));
+            for (auto& n : w.nodes) n->set_cluster_head(to.id());
+            if (obs::Recorder* rec = w.rec) {
+                rec->metrics().counter(obs::metric::kInjectFailovers).inc();
+                if (rec->trace().enabled()) {
+                    rec->trace().append(
+                        w.simulator.now(),
+                        obs::ChFailed{static_cast<std::uint32_t>(from.id()),
+                                      static_cast<std::uint32_t>(to.id()), f.warm_handoff,
+                                      static_cast<std::uint32_t>(ckpt.v.size())});
+                }
+            }
+        });
     }
 
     // Optional ack/retry relay fabric: even in the single-hop cluster the
     // reliable transport retransmits reports the (possibly degraded)
     // channel eats, so correct nodes degrade gracefully under injection.
-    net::RoutingTable routes;
-    if (wl.reliable_reports) {
-        std::vector<net::RouterEntry> entries;
-        for (std::size_t i = 0; i < n_nodes; ++i) {
-            entries.push_back({static_cast<sim::ProcessId>(i), positions[i], kBigRadius});
-        }
-        entries.push_back({ch_id, channel.position(ch_id), kBigRadius});
-        if (standby) entries.push_back({standby_id, channel.position(standby_id), kBigRadius});
-        routes.rebuild(std::move(entries));
-        for (auto& n : nodes) {
-            n->enable_relay(&routes, scenario.transport);
-            if (auto* t = n->transport()) t->set_recorder(rec);
-        }
-        ch.enable_relay(&routes, scenario.transport);
-        if (standby) standby->enable_relay(&routes, scenario.transport);
-    }
+    if (wl.reliable_reports) w.enable_relay(kBigRadius);
 
-    sensor::EventGenerator generator(simulator, root.stream("events"), field, field);
-    {
-        std::vector<sensor::SensorNode*> raw;
-        raw.reserve(nodes.size());
-        for (auto& n : nodes) raw.push_back(n.get());
-        generator.set_nodes(std::move(raw));
-    }
-
-    std::vector<cluster::DecisionRecord> decisions;
-    ch.on_decision([&decisions](const cluster::DecisionRecord& r) { decisions.push_back(r); });
-    if (standby) {
-        standby->on_decision(
-            [&decisions](const cluster::DecisionRecord& r) { decisions.push_back(r); });
-    }
-
-    // Campaign timeline wiring.
-    if (campaign) {
-        campaign->on_compromise([&](const inject::CompromiseOnset& onset) {
-            const auto target = static_cast<std::size_t>(
-                onset.target_pct * static_cast<double>(n_nodes) + 0.5);
-            for (std::size_t i = 0; i < target && i < n_nodes; ++i) {
-                const std::size_t idx = order[i];
-                if (faulty[idx]) continue;
-                faulty[idx] = true;
-                nodes[idx]->set_behavior(
-                    std::make_unique<sensor::Level0Fault>(faults, /*binary_mode=*/true));
-            }
-        });
-        campaign->on_fault_shift([&](const inject::FaultRateShift& shift) {
-            if (shift.missed_alarm_rate >= 0.0) faults.missed_alarm_rate = shift.missed_alarm_rate;
-            if (shift.false_alarm_rate >= 0.0) faults.false_alarm_rate = shift.false_alarm_rate;
-            for (std::size_t i = 0; i < n_nodes; ++i) {
-                if (!faulty[i]) continue;
-                nodes[i]->set_behavior(
-                    std::make_unique<sensor::Level0Fault>(faults, /*binary_mode=*/true));
-            }
-        });
-        if (has_failover) {
-            campaign->on_failover([&](const inject::ChFailover& f, bool recovering) {
-                cluster::ClusterHead& from = recovering ? *standby : ch;
-                cluster::ClusterHead& to = recovering ? ch : *standby;
-                const core::TrustCheckpoint ckpt = from.engine().trust().checkpoint();
-                from.set_active(false);
-                // begin_leadership reactivates `to` and re-attaches its
-                // recorder; cold handoff hands over a fresh table instead.
-                to.begin_leadership(f.warm_handoff ? core::TrustManager::restore(ckpt, rec)
-                                                   : core::TrustManager(trust));
-                for (auto& n : nodes) n->set_cluster_head(to.id());
-                if (rec) {
-                    rec->metrics().counter(obs::metric::kInjectFailovers).inc();
-                    if (rec->trace().enabled()) {
-                        rec->trace().append(
-                            simulator.now(),
-                            obs::ChFailed{static_cast<std::uint32_t>(from.id()),
-                                          static_cast<std::uint32_t>(to.id()), f.warm_handoff,
-                                          static_cast<std::uint32_t>(ckpt.v.size())});
-                    }
-                }
-            });
-        }
-        campaign->schedule();
-    }
-
-    if (rec) {
-        generator.on_event([rec](const sensor::GeneratedEvent& ev) {
-            if (!rec->trace().enabled()) return;
-            rec->trace().append(
-                ev.time, obs::EventInjected{ev.id, ev.location.x, ev.location.y,
-                                            static_cast<std::uint32_t>(
-                                                ev.event_neighbours.size())});
-        });
-    }
+    w.schedule_campaign();
 
     const double start = 5.0;
-    generator.schedule_events(wl.events, wl.event_interval, start);
-    if (faults.false_alarm_rate > 0.0 ||
-        (campaign && !scenario.campaign.fault_shifts.empty())) {
+    w.generator.schedule_events(wl.events, wl.event_interval, start);
+    if (w.faults.false_alarm_rate > 0.0 ||
+        (w.campaign && !scenario.campaign.fault_shifts.empty())) {
         // Jitter each node's false-alarm opportunity: level-0 alarms are
         // uncoordinated in time, but land close enough that several can
         // fall into one CH adjudication window (see BinaryWorkload). Quiet
         // windows are also scheduled when a fault shift could raise the
         // false-alarm rate mid-run.
-        generator.schedule_quiet_windows(wl.events, wl.event_interval,
-                                         start + wl.event_interval / 3.0,
-                                         wl.false_alarm_spread_touts * engine_cfg.t_out);
+        w.generator.schedule_quiet_windows(wl.events, wl.event_interval,
+                                           start + wl.event_interval / 3.0,
+                                           wl.false_alarm_spread_touts * w.engine.t_out);
     }
 
-    simulator.run();
+    w.simulator.run();
 
     // ---- Scoring ----
     BinaryResult result;
-    result.events = generator.history().size();
+    const auto& history = w.generator.history();
+    auto& decisions = w.decisions;
+    result.events = history.size();
 
     // With shadows deployed, the base station's vote is authoritative:
     // override each CH announcement with the station's final conclusion.
-    if (wl.use_shadows) {
+    if (station) {
         for (auto& d : decisions) {
             for (const auto& f : station->final_decisions()) {
                 if (f.seq == d.seq) {
@@ -338,12 +152,12 @@ BinaryResult run_binary_experiment(const Scenario& scenario) {
     }
 
     std::vector<bool> decision_matched(decisions.size(), false);
-    for (const auto& ev : generator.history()) {
+    for (const auto& ev : history) {
         bool detected = false;
         for (std::size_t d = 0; d < decisions.size(); ++d) {
             if (decision_matched[d]) continue;
             const double dt = decisions[d].window_opened - ev.time;
-            if (dt >= 0.0 && dt <= engine_cfg.t_out) {
+            if (dt >= 0.0 && dt <= w.engine.t_out) {
                 decision_matched[d] = true;
                 detected = decisions[d].event_declared;
                 break;
@@ -366,56 +180,9 @@ BinaryResult run_binary_experiment(const Scenario& scenario) {
         result.events ? static_cast<double>(result.detected) / static_cast<double>(result.events)
                       : 0.0;
 
-    // Final trust state, split by ground-truth class — read from whichever
-    // CH is leading when the run ends.
+    // Final trust state is read from whichever CH leads when the run ends.
     const cluster::ClusterHead& final_ch = standby && standby->active() ? *standby : ch;
-    const auto& tm = final_ch.engine().trust();
-    double sum_c = 0.0, sum_f = 0.0;
-    std::size_t n_c = 0, n_f = 0;
-    for (std::size_t i = 0; i < n_nodes; ++i) {
-        const double ti = tm.ti(static_cast<core::NodeId>(i));
-        if (faulty[i]) {
-            sum_f += ti;
-            ++n_f;
-        } else {
-            sum_c += ti;
-            ++n_c;
-        }
-    }
-    result.mean_ti_correct = n_c ? sum_c / static_cast<double>(n_c) : 1.0;
-    result.mean_ti_faulty = n_f ? sum_f / static_cast<double>(n_f) : 1.0;
-
-    if (scenario.keep_decisions) result.decisions = decisions;
-
-    for (const auto* shadow : {&ch_shadow, &standby_shadow}) {
-        if (!shadow->has_value()) continue;
-        result.checked_decisions += (*shadow)->decisions_checked();
-        result.oracle_divergences += (*shadow)->divergences();
-    }
-
-    if (rec) {
-        auto& reg = rec->metrics();
-        reg.counter(obs::metric::kSimEventsExecuted).inc(simulator.executed());
-        reg.gauge(obs::metric::kSimQueueHighWater)
-            .set_max(static_cast<double>(simulator.queue_high_water()));
-        reg.gauge(obs::metric::kExpAccuracy).set(result.accuracy);
-        reg.gauge(obs::metric::kExpEvents).set(static_cast<double>(result.events));
-        reg.gauge(obs::metric::kExpDetected).set(static_cast<double>(result.detected));
-        const std::size_t n_all = n_c + n_f;
-        reg.gauge(obs::metric::kExpMeanTi)
-            .set(n_all ? (sum_c + sum_f) / static_cast<double>(n_all) : 1.0);
-        reg.gauge(obs::metric::kExpMeanTiCorrect).set(result.mean_ti_correct);
-        reg.gauge(obs::metric::kExpMeanTiFaulty).set(result.mean_ti_faulty);
-        if (campaign) {
-            std::size_t degraded = 0;
-            for (const auto& d : decisions) {
-                degraded += scenario.campaign.degraded_at(d.time) ? 1 : 0;
-            }
-            reg.counter(obs::metric::kInjectDecisionsDegraded).inc(degraded);
-        }
-        // The simulator dies with this frame; leave no dangling clock.
-        rec->set_clock({});
-    }
+    w.finish(result, final_ch.engine().trust());
     return result;
 }
 

@@ -8,95 +8,26 @@
 // events (the CH must declare) and false-alarm windows (the CH must not).
 #pragma once
 
-#include <cstdint>
-#include <vector>
+#include <cstddef>
 
-#include "cluster/cluster_head.h"
-#include "core/binary_arbiter.h"
-#include "core/trust.h"
 #include "exp/scenario.h"
-#include "sensor/fault_model.h"
-
-namespace tibfit::obs {
-class Recorder;
-}  // namespace tibfit::obs
 
 namespace tibfit::exp {
 
-/// Full parameter set of one binary run (Table 1 defaults).
-/// Superseded by exp::Scenario (Kind::Binary): this flat struct remains as
-/// a thin shim for one release — to_scenario() maps every field.
-struct BinaryConfig {
-    std::size_t n_nodes = 10;
-    double pct_faulty = 0.4;          ///< fraction of nodes that are level-0 faulty
-    double correct_ner = 0.01;        ///< correct nodes' natural error rate
-    double missed_alarm_rate = 0.5;   ///< faulty nodes' missed-alarm probability
-    double false_alarm_rate = 0.0;    ///< faulty nodes' per-window false-alarm probability
-    /// Temporal spread of false alarms within a quiet window, in units of
-    /// t_out. 0 = perfectly coordinated (all in one CH window); large =
-    /// fully independent (each alarm adjudicated alone). The paper leaves
-    /// this implicit; the Figure-3 crossover (75% alarms helping below 80%
-    /// compromised, collapsing above) needs partial coincidence.
-    double false_alarm_spread_touts = 2.0;
-    std::size_t events = 100;
-    core::DecisionPolicy policy = core::DecisionPolicy::TrustIndex;
-    double lambda = 0.1;              ///< trust decay constant
-    double fault_rate = -1.0;         ///< f_r; < 0 means "same as NER" (Table 1)
-    double removal_ti = 0.0;          ///< isolation threshold (0 = off, as in Exp 1)
-    double t_out = 1.0;
-    double event_interval = 10.0;
-    double channel_drop = 0.01;       ///< natural wireless loss
-    std::uint64_t seed = 1;
-
-    /// Section 3.4: deploy two shadow cluster heads and a base station;
-    /// the station's vote over {CH, SCH1, SCH2} becomes the scored output.
-    bool use_shadows = false;
-    /// Section 3.4 failure injection: the CH announces inverted decisions.
-    bool corrupt_ch = false;
-
-    /// Optional observability attachment (non-owning; may be nullptr).
-    /// The run wires it through channel, CH, trust table and simulator
-    /// telemetry; instrumentation never touches the RNG, so results are
-    /// bit-identical with or without it.
-    obs::Recorder* recorder = nullptr;
-    /// Copies the CH's decision log into BinaryResult::decisions
-    /// (determinism tests compare these across instrumented runs).
-    bool keep_decisions = false;
-};
-
-/// Scored outcome of one binary run.
-struct BinaryResult {
-    double accuracy = 0.0;          ///< correct decisions / all instances
-    double detection_rate = 0.0;    ///< events declared / events
-    std::size_t events = 0;
-    std::size_t detected = 0;
+/// Scored outcome of one binary run (accuracy = correct decisions / all
+/// instances; see RunResult for the shared fields).
+struct BinaryResult : RunResult {
+    double detection_rate = 0.0;          ///< events declared / events
     std::size_t false_alarm_windows = 0;  ///< quiet windows that drew reports
     std::size_t phantoms_declared = 0;    ///< false-alarm windows wrongly declared
-    double mean_ti_correct = 1.0;   ///< final mean TI of correct nodes
-    double mean_ti_faulty = 1.0;    ///< final mean TI of faulty nodes
-    std::size_t ch_overrides = 0;   ///< decisions where shadows outvoted the CH
-    /// Differential-oracle tallies (zero unless check.mode != off): how
-    /// many decisions the shadow arbiter cross-checked, and how many
-    /// diverged from the paper-literal reference.
-    std::size_t checked_decisions = 0;
-    std::size_t oracle_divergences = 0;
-    /// The CH decision log (only filled when BinaryConfig::keep_decisions;
-    /// with shadows these are the post-override decisions).
-    std::vector<cluster::DecisionRecord> decisions;
+    std::size_t ch_overrides = 0;         ///< decisions where shadows outvoted the CH
 };
 
 /// Runs one complete binary simulation (network, channel, CH, generator),
 /// including any fault-injection campaign the scenario carries. The
-/// scenario's `kind` is ignored — this entry point always runs the binary
-/// workload.
+/// scenario's `kind` is ignored — this entry point always runs (and
+/// validates) the binary workload. Throws std::invalid_argument listing
+/// every Scenario::validate() message when the scenario is invalid.
 BinaryResult run_binary_experiment(const Scenario& scenario);
-
-/// The exact Scenario the legacy flat config describes (single source of
-/// the field mapping; the deprecated shim goes through it).
-Scenario to_scenario(const BinaryConfig& config);
-
-/// Legacy entry point.
-[[deprecated("build an exp::Scenario (see to_scenario) and call the Scenario overload")]]
-BinaryResult run_binary_experiment(const BinaryConfig& config);
 
 }  // namespace tibfit::exp

@@ -3,24 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
-#include <optional>
 #include <vector>
 
-#include "check/shadow_arbiter.h"
 #include "cluster/base_station.h"
 #include "cluster/cluster_head.h"
-#include "inject/campaign.h"
-#include "net/channel.h"
-#include "net/routing.h"
+#include "exp/world.h"
 #include "obs/names.h"
 #include "obs/recorder.h"
-#include "sensor/collusion.h"
-#include "sensor/event_generator.h"
 #include "sensor/mobility.h"
-#include "sensor/sensor_node.h"
-#include "sim/simulator.h"
-#include "util/invariant.h"
 
 namespace tibfit::exp {
 
@@ -28,23 +18,6 @@ namespace {
 
 /// Radio range covering the whole field plus the off-field base station.
 constexpr double kRange = 400.0;
-
-/// Builds the behaviour object for one (possibly shared-channel) node.
-std::unique_ptr<sensor::FaultBehavior> make_behavior(
-    sensor::NodeClass cls, const sensor::FaultParams& fp,
-    const std::shared_ptr<sensor::CollusionChannel>& collusion) {
-    switch (cls) {
-        case sensor::NodeClass::Correct:
-            return std::make_unique<sensor::CorrectBehavior>(fp);
-        case sensor::NodeClass::Level0:
-            return std::make_unique<sensor::Level0Fault>(fp, /*binary_mode=*/false);
-        case sensor::NodeClass::Level1:
-            return std::make_unique<sensor::Level1Fault>(fp, /*binary_mode=*/false);
-        case sensor::NodeClass::Level2:
-            return std::make_unique<sensor::Level2Fault>(fp, /*binary_mode=*/false, collusion);
-    }
-    return nullptr;
-}
 
 }  // namespace
 
@@ -93,215 +66,79 @@ Scenario to_scenario(const LocationConfig& c) {
     s.location.decay_final = c.decay_final;
     s.location.decay_epoch_events = c.decay_epoch_events;
     s.location.epoch_events = c.epoch_events;
-    s.location.keep_trace = c.keep_trace;
     s.recorder = c.recorder;
     return s;
 }
 
-LocationResult run_location_experiment(const LocationConfig& config) {
-    return run_location_experiment(to_scenario(config));
-}
-
 LocationResult run_location_experiment(const Scenario& scenario) {
     const LocationWorkload& wl = scenario.location;
+    World w(scenario, Scenario::Kind::Location,
+            {wl.n_nodes, wl.decay ? wl.decay_initial : wl.pct_faulty, wl.fault_level,
+             scenario.deployment.sensing_radius});
     const double field = scenario.deployment.field;
-    const double sensing_radius = scenario.deployment.sensing_radius;
     const std::size_t n_nodes = wl.n_nodes;
+    net::Channel& channel = w.channel;
 
-    sim::Simulator simulator;
-    util::Rng root(scenario.seed);
-
-    obs::Recorder* rec = scenario.recorder;
-    if (rec) {
-        obs::preregister_standard_metrics(rec->metrics());
-        rec->set_clock([&simulator] { return simulator.now(); });
-    }
-
-    net::Channel channel(simulator, root.stream("channel"), scenario.channel);
-    channel.set_recorder(rec);
-
-    std::optional<inject::Campaign> campaign;
-    if (scenario.campaign.enabled()) {
-        campaign.emplace(scenario.campaign, simulator, root.stream("inject"));
-        campaign->set_recorder(rec);
-        campaign->arm_channel(channel);
-    }
-
-    const core::TrustParams trust = scenario.effective_trust();
-    sensor::FaultParams faults = scenario.faults;  // mutable: fault-rate shifts
-
-    auto collusion = std::make_shared<sensor::CollusionChannel>(
-        root.stream("collusion"), faults, /*binary_mode=*/false);
-
-    // ---- Node placement ----
-    std::vector<util::Vec2> positions(n_nodes);
+    // ---- Node placement: the paper's regular lattice, or uniform ----
+    std::vector<util::Vec2> positions;
     if (wl.grid_layout) {
         const auto side = static_cast<std::size_t>(
             std::llround(std::sqrt(static_cast<double>(n_nodes))));
         const double spacing = field / static_cast<double>(side);
         for (std::size_t i = 0; i < n_nodes; ++i) {
-            const std::size_t gx = i % side;
-            const std::size_t gy = i / side;
-            positions[i] = {spacing * (0.5 + static_cast<double>(gx)),
-                            spacing * (0.5 + static_cast<double>(gy))};
+            positions.push_back({spacing * (0.5 + static_cast<double>(i % side)),
+                                 spacing * (0.5 + static_cast<double>(i / side))});
         }
     } else {
-        util::Rng placement = root.stream("placement");
-        for (auto& p : positions) p = placement.point_in_rect(field, field);
+        positions = w.random_positions();
     }
-
-    // ---- Compromise order ----
-    // A fixed random permutation decides which nodes are (or become) faulty;
-    // the decay schedule — and any campaign compromise onsets — extend the
-    // compromised prefix over time.
-    std::vector<std::size_t> compromise_order(n_nodes);
-    std::iota(compromise_order.begin(), compromise_order.end(), 0);
-    {
-        util::Rng pick = root.stream("select");
-        for (std::size_t i = compromise_order.size(); i > 1; --i) {
-            std::swap(compromise_order[i - 1], compromise_order[pick.uniform_index(i)]);
-        }
-    }
-    const double initial_pct = wl.decay ? wl.decay_initial : wl.pct_faulty;
-    const auto initially_faulty = static_cast<std::size_t>(
-        initial_pct * static_cast<double>(n_nodes) + 0.5);
-    std::vector<bool> faulty(n_nodes, false);
-    for (std::size_t i = 0; i < initially_faulty && i < n_nodes; ++i) {
-        faulty[compromise_order[i]] = true;
-    }
-
-    // ---- Nodes ----
     const double sensor_range = wl.multihop ? wl.radio_range : kRange;
-    std::vector<std::unique_ptr<sensor::SensorNode>> nodes;
-    nodes.reserve(n_nodes);
-    for (std::size_t i = 0; i < n_nodes; ++i) {
-        const auto cls = faulty[i] ? wl.fault_level : sensor::NodeClass::Correct;
-        auto node = std::make_unique<sensor::SensorNode>(
-            simulator, static_cast<sim::ProcessId>(i), positions[i], sensing_radius,
-            net::Radio(channel, static_cast<sim::ProcessId>(i)),
-            make_behavior(cls, faults, collusion), root.stream("node", i), trust);
-        node->set_binary_mode(false);
-        node->set_tx_jitter(wl.tx_jitter);
-        channel.attach(*node, positions[i], sensor_range);
-        nodes.push_back(std::move(node));
-    }
+    w.add_nodes(std::move(positions), sensor_range, wl.tx_jitter);
 
-    // ---- Cluster heads + base station ----
-    core::EngineConfig engine_cfg = scenario.engine;
-    engine_cfg.sensing_radius = sensing_radius;
-    engine_cfg.trust = trust;
-
+    // ---- Rotating cluster heads + base station ----
     const auto bs_id = static_cast<sim::ProcessId>(n_nodes + wl.n_ch);
     std::vector<std::unique_ptr<cluster::ClusterHead>> heads;
-    std::vector<cluster::DecisionRecord> decisions;
     for (std::size_t c = 0; c < wl.n_ch; ++c) {
         const auto id = static_cast<sim::ProcessId>(n_nodes + c);
-        auto head = std::make_unique<cluster::ClusterHead>(simulator, id,
-                                                           net::Radio(channel, id), engine_cfg);
-        head->set_recorder(rec);
-        head->set_binary_mode(false);
-        head->set_topology(positions);
-        head->set_base_station(bs_id);
-        head->set_active(c == 0);
-        head->on_decision(
-            [&decisions](const cluster::DecisionRecord& r) { decisions.push_back(r); });
+        heads.push_back(std::make_unique<cluster::ClusterHead>(
+            w.simulator, id, net::Radio(channel, id), w.engine));
+        cluster::ClusterHead& head = *heads.back();
+        w.add_head(head);
+        head.set_binary_mode(false);
+        head.set_topology(w.positions);
+        head.set_base_station(bs_id);
+        head.set_active(c == 0);
         // CHs sit near the field centre, spread slightly so they are
         // distinct radio endpoints.
-        const util::Vec2 pos{field / 2.0 + 2.0 * static_cast<double>(c), field / 2.0};
-        channel.attach(*head, pos, kRange);
+        channel.attach(head, {field / 2.0 + 2.0 * static_cast<double>(c), field / 2.0}, kRange);
         channel.set_drop_probability(id, 0.0);  // CH control traffic is reliable
-        heads.push_back(std::move(head));
     }
-
-    cluster::BaseStation station(simulator, bs_id, net::Radio(channel, bs_id), trust);
+    cluster::BaseStation station(w.simulator, bs_id, net::Radio(channel, bs_id), w.trust);
     channel.attach(station, {field / 2.0, field + 20.0}, kRange);
     channel.set_drop_probability(bs_id, 0.0);
 
-    for (auto& n : nodes) n->set_cluster_head(heads.front()->id());
-
-    // Self-checking: enable invariant evaluation for the duration of the
-    // run and attach one lockstep oracle per CH engine (rotation hands the
-    // trust table between heads; each oracle resyncs on adoption). With
-    // check.mode off the globals are untouched and no hook fires.
-    const bool check_on = scenario.check.mode != check::Mode::Off;
-    const bool check_abort = scenario.check.mode == check::Mode::Assert;
-    std::optional<util::ScopedInvariantAction> check_scope;
-    std::vector<std::unique_ptr<check::ShadowArbiter>> shadows;
-    if (check_on) {
-        check_scope.emplace(check_abort ? util::InvariantAction::Throw
-                                        : util::InvariantAction::Count);
-        for (auto& h : heads) {
-            shadows.push_back(std::make_unique<check::ShadowArbiter>(engine_cfg, check_abort));
-            shadows.back()->set_recorder(rec);
-            h->engine().set_checker(shadows.back().get());
-        }
-    }
-
     // ---- Multi-hop relay fabric (Section 3.4 extension) ----
     // Sensors route reports toward the CHs through each other; CHs unwrap.
-    net::RoutingTable routes;
-    if (wl.multihop) {
-        std::vector<net::RouterEntry> entries;
-        for (std::size_t i = 0; i < n_nodes; ++i) {
-            entries.push_back({static_cast<sim::ProcessId>(i), positions[i], sensor_range});
-        }
-        for (auto& h : heads) {
-            entries.push_back({h->id(), channel.position(h->id()), kRange});
-        }
-        routes.rebuild(std::move(entries));
-        for (auto& n : nodes) {
-            n->enable_relay(&routes, scenario.transport);
-            if (auto* t = n->transport()) t->set_recorder(rec);
-        }
-        for (auto& h : heads) h->enable_relay(&routes, scenario.transport);
-    }
+    if (wl.multihop) w.enable_relay(kRange);
 
     // ---- Mobility (Section 2 extension) ----
     sensor::MobilityParams mob_params = scenario.mobility;
     mob_params.field_w = field;
     mob_params.field_h = field;
-    sensor::MobilityManager mobility(simulator, root.stream("mobility"), mob_params);
+    sensor::MobilityManager mobility(w.simulator, w.root.stream("mobility"), mob_params);
     if (wl.mobile) {
-        for (auto& n : nodes) mobility.manage(*n, channel);
+        for (auto& n : w.nodes) mobility.manage(*n, channel);
         mobility.on_tick([&] {
             // The CHs re-estimate node positions (Section 2's requirement
             // for mobile operation); relay routes are rebuilt when in use.
             std::vector<util::Vec2> current(n_nodes);
-            for (std::size_t i = 0; i < n_nodes; ++i) current[i] = nodes[i]->position();
+            for (std::size_t i = 0; i < n_nodes; ++i) current[i] = w.nodes[i]->position();
             for (auto& h : heads) h->set_topology(current);
-            if (wl.multihop) {
-                std::vector<net::RouterEntry> entries;
-                for (std::size_t i = 0; i < n_nodes; ++i) {
-                    entries.push_back(
-                        {static_cast<sim::ProcessId>(i), current[i], sensor_range});
-                }
-                for (auto& h : heads) {
-                    entries.push_back({h->id(), channel.position(h->id()), kRange});
-                }
-                routes.rebuild(std::move(entries));
-            }
+            if (wl.multihop) w.rebuild_routes(current);
         });
     }
 
     // ---- Event schedule ----
-    sensor::EventGenerator generator(simulator, root.stream("events"), field, field);
-    {
-        std::vector<sensor::SensorNode*> raw;
-        raw.reserve(nodes.size());
-        for (auto& n : nodes) raw.push_back(n.get());
-        generator.set_nodes(std::move(raw));
-    }
-
-    if (rec) {
-        generator.on_event([rec](const sensor::GeneratedEvent& ev) {
-            if (!rec->trace().enabled()) return;
-            rec->trace().append(
-                ev.time, obs::EventInjected{ev.id, ev.location.x, ev.location.y,
-                                            static_cast<std::uint32_t>(
-                                                ev.event_neighbours.size())});
-        });
-    }
-
     std::size_t total_events = wl.events;
     if (wl.decay) {
         const auto epochs = static_cast<std::size_t>(
@@ -310,47 +147,32 @@ LocationResult run_location_experiment(const Scenario& scenario) {
     }
     const double start = 5.0;
     const std::size_t instants = (total_events + wl.burst - 1) / wl.burst;
-    generator.schedule_events(instants, wl.event_interval, start, wl.burst,
-                              wl.burst > 1 ? engine_cfg.r_error : 0.0);
-    if (faults.false_alarm_rate > 0.0) {
-        generator.schedule_quiet_windows(instants, wl.event_interval,
-                                         start + wl.event_interval / 3.0,
-                                         wl.event_interval / 3.0);
+    w.generator.schedule_events(instants, wl.event_interval, start, wl.burst,
+                                wl.burst > 1 ? w.engine.r_error : 0.0);
+    if (w.faults.false_alarm_rate > 0.0) {
+        w.generator.schedule_quiet_windows(instants, wl.event_interval,
+                                           start + wl.event_interval / 3.0,
+                                           wl.event_interval / 3.0);
     }
 
     // ---- CH rotation schedule ----
     // Rotations happen between events, every rotation_period event instants.
     const double rotation_gap = wl.event_interval / 2.0;
     std::size_t active_ch = 0;
-    const std::size_t n_rotations =
-        wl.rotation_period ? instants / wl.rotation_period : 0;
+    const std::size_t n_rotations = wl.rotation_period ? instants / wl.rotation_period : 0;
     for (std::size_t r = 1; r <= n_rotations; ++r) {
         const double at = start +
                           wl.event_interval * static_cast<double>(r * wl.rotation_period) -
                           rotation_gap;
         if (at <= start) continue;
-        simulator.schedule_at(at, [&heads, &nodes, &active_ch, n_ch = wl.n_ch] {
+        w.simulator.schedule_at(at, [&heads, &w, &active_ch, n_ch = wl.n_ch] {
             heads[active_ch]->end_leadership();
             active_ch = (active_ch + 1) % n_ch;
             heads[active_ch]->set_active(true);
             heads[active_ch]->request_archive();
-            for (auto& n : nodes) n->set_cluster_head(heads[active_ch]->id());
+            for (auto& n : w.nodes) n->set_cluster_head(heads[active_ch]->id());
         });
     }
-
-    // Raises the compromised fraction to `target_pct` by extending the
-    // prefix of compromise_order (decay epochs and campaign onsets share
-    // this mechanic).
-    auto raise_compromised = [&](double target_pct) {
-        const auto target = static_cast<std::size_t>(
-            target_pct * static_cast<double>(n_nodes) + 0.5);
-        for (std::size_t i = 0; i < target && i < n_nodes; ++i) {
-            const std::size_t idx = compromise_order[i];
-            if (faulty[idx]) continue;
-            faulty[idx] = true;
-            nodes[idx]->set_behavior(make_behavior(wl.fault_level, faults, collusion));
-        }
-    };
 
     // ---- Decay schedule (Experiment 3) ----
     if (wl.decay) {
@@ -360,51 +182,33 @@ LocationResult run_location_experiment(const Scenario& scenario) {
                               wl.event_interval *
                                   static_cast<double>(e * wl.decay_epoch_events) -
                               rotation_gap / 2.0;
-            const double target_pct = wl.decay_initial +
-                                      wl.decay_step * static_cast<double>(e);
-            simulator.schedule_at(at, [&raise_compromised, target_pct] {
-                raise_compromised(target_pct);
-            });
+            const double target_pct = wl.decay_initial + wl.decay_step * static_cast<double>(e);
+            w.simulator.schedule_at(at, [&w, target_pct] { w.raise_compromised(target_pct); });
         }
     }
 
-    // ---- Campaign timeline (channel windows armed above) ----
-    if (campaign) {
-        campaign->on_compromise([&raise_compromised](const inject::CompromiseOnset& onset) {
-            raise_compromised(onset.target_pct);
-        });
-        campaign->on_fault_shift([&](const inject::FaultRateShift& shift) {
-            if (shift.missed_alarm_rate >= 0.0) faults.missed_alarm_rate = shift.missed_alarm_rate;
-            if (shift.false_alarm_rate >= 0.0) faults.false_alarm_rate = shift.false_alarm_rate;
-            for (std::size_t i = 0; i < n_nodes; ++i) {
-                if (!faulty[i]) continue;
-                nodes[i]->set_behavior(make_behavior(wl.fault_level, faults, collusion));
-            }
-        });
-        campaign->schedule();
-    }
+    w.schedule_campaign();
+    if (wl.mobile) mobility.start(start + wl.event_interval * static_cast<double>(instants));
 
-    if (wl.mobile) {
-        mobility.start(start + wl.event_interval * static_cast<double>(instants));
-    }
-
-    simulator.run();
+    w.simulator.run();
 
     // ---- Scoring ----
     LocationResult result;
-    result.events = generator.history().size();
-    const double match_window = 3.0 * engine_cfg.t_out + 1.0;
+    const auto& history = w.generator.history();
+    const auto& decisions = w.decisions;
+    result.events = history.size();
+    const double match_window = 3.0 * w.engine.t_out + 1.0;
 
     std::vector<bool> explained(decisions.size(), false);
     std::vector<bool> event_detected(result.events, false);
-    for (std::size_t e = 0; e < generator.history().size(); ++e) {
-        const auto& ev = generator.history()[e];
+    for (std::size_t e = 0; e < history.size(); ++e) {
+        const auto& ev = history[e];
         for (std::size_t d = 0; d < decisions.size(); ++d) {
             const auto& dec = decisions[d];
             if (!dec.has_location) continue;
             const double dt = dec.time - ev.time;
             if (dt < 0.0 || dt > match_window) continue;
-            if (util::distance(dec.location, ev.location) > engine_cfg.r_error) continue;
+            if (util::distance(dec.location, ev.location) > w.engine.r_error) continue;
             explained[d] = true;
             if (dec.event_declared) event_detected[e] = true;
         }
@@ -413,79 +217,32 @@ LocationResult run_location_experiment(const Scenario& scenario) {
     for (std::size_t d = 0; d < decisions.size(); ++d) {
         if (!explained[d] && decisions[d].event_declared) ++result.false_positives;
     }
-    result.accuracy = result.events
-                          ? static_cast<double>(result.detected) /
-                                static_cast<double>(result.events)
-                          : 0.0;
+    result.accuracy = result.events ? static_cast<double>(result.detected) /
+                                          static_cast<double>(result.events)
+                                    : 0.0;
 
     // Per-epoch accuracy series (events are ordered by generation time).
     if (wl.epoch_events > 0) {
-        std::size_t i = 0;
-        while (i < event_detected.size()) {
+        for (std::size_t i = 0; i < event_detected.size(); i += wl.epoch_events) {
             const std::size_t end = std::min(i + wl.epoch_events, event_detected.size());
-            std::size_t hits = 0;
-            for (std::size_t j = i; j < end; ++j) hits += event_detected[j] ? 1 : 0;
+            const auto hits = std::count(event_detected.begin() + static_cast<std::ptrdiff_t>(i),
+                                         event_detected.begin() + static_cast<std::ptrdiff_t>(end),
+                                         true);
             result.epoch_accuracy.push_back(static_cast<double>(hits) /
                                             static_cast<double>(end - i));
-            i = end;
         }
     }
 
     // Final trust state from the currently active CH.
     const auto& tm = heads[active_ch]->engine().trust();
     result.isolated = tm.isolated_nodes().size();
-    double sum_c = 0.0, sum_f = 0.0;
-    std::size_t n_c = 0, n_f = 0;
-    for (std::size_t i = 0; i < n_nodes; ++i) {
-        const double ti = tm.ti(static_cast<core::NodeId>(i));
-        if (faulty[i]) {
-            sum_f += ti;
-            ++n_f;
-        } else {
-            sum_c += ti;
-            ++n_c;
-        }
-    }
-    result.mean_ti_correct = n_c ? sum_c / static_cast<double>(n_c) : 1.0;
-    result.mean_ti_faulty = n_f ? sum_f / static_cast<double>(n_f) : 1.0;
-
-    if (wl.keep_trace) {
-        result.trace_events = generator.history();
-        result.trace_decisions = std::move(decisions);
-    }
-
-    for (const auto& shadow : shadows) {
-        result.checked_decisions += shadow->decisions_checked();
-        result.oracle_divergences += shadow->divergences();
-    }
-
-    if (rec) {
+    if (obs::Recorder* rec = w.rec) {
         auto& reg = rec->metrics();
-        reg.counter(obs::metric::kSimEventsExecuted).inc(simulator.executed());
-        reg.gauge(obs::metric::kSimQueueHighWater)
-            .set_max(static_cast<double>(simulator.queue_high_water()));
-        reg.gauge(obs::metric::kExpAccuracy).set(result.accuracy);
-        reg.gauge(obs::metric::kExpEvents).set(static_cast<double>(result.events));
-        reg.gauge(obs::metric::kExpDetected).set(static_cast<double>(result.detected));
         reg.gauge(obs::metric::kExpFalsePositives)
             .set(static_cast<double>(result.false_positives));
         reg.gauge(obs::metric::kExpIsolated).set(static_cast<double>(result.isolated));
-        const std::size_t n_all = n_c + n_f;
-        reg.gauge(obs::metric::kExpMeanTi)
-            .set(n_all ? (sum_c + sum_f) / static_cast<double>(n_all) : 1.0);
-        reg.gauge(obs::metric::kExpMeanTiCorrect).set(result.mean_ti_correct);
-        reg.gauge(obs::metric::kExpMeanTiFaulty).set(result.mean_ti_faulty);
-        if (campaign) {
-            std::size_t degraded = 0;
-            const auto& log = wl.keep_trace ? result.trace_decisions : decisions;
-            for (const auto& d : log) {
-                degraded += scenario.campaign.degraded_at(d.time) ? 1 : 0;
-            }
-            reg.counter(obs::metric::kInjectDecisionsDegraded).inc(degraded);
-        }
-        // The simulator dies with this frame; leave no dangling clock.
-        rec->set_clock({});
     }
+    w.finish(result, tm);
     return result;
 }
 

@@ -14,11 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "cluster/cluster_head.h"
-#include "core/binary_arbiter.h"
 #include "exp/scenario.h"
-#include "sensor/event_generator.h"
-#include "sensor/fault_model.h"
 
 namespace tibfit::obs {
 class Recorder;
@@ -26,9 +22,9 @@ class Recorder;
 
 namespace tibfit::exp {
 
-/// Full parameter set of one location run (Table 2 defaults).
-/// Superseded by exp::Scenario (Kind::Location): this flat struct remains
-/// as a thin shim for one release — to_scenario() maps every field.
+/// Flat parameter set of one location run (Table 2 defaults). Superseded
+/// by exp::Scenario; kept only because the benchmark package (perfbench/)
+/// still builds one workload through it. to_scenario() maps every field.
 struct LocationConfig {
     std::size_t n_nodes = 100;
     double field = 100.0;
@@ -101,10 +97,6 @@ struct LocationConfig {
     /// Epoch width (in events) for the accuracy-vs-time series.
     std::size_t epoch_events = 50;
 
-    /// Keep the raw ground truth + decision log in the result (for trace
-    /// output; off by default to keep sweeps lean).
-    bool keep_trace = false;
-
     /// Optional observability attachment (non-owning; may be nullptr).
     /// The run wires it through channel, every CH, trust tables, relay
     /// transports and simulator telemetry; instrumentation never touches
@@ -112,40 +104,24 @@ struct LocationConfig {
     obs::Recorder* recorder = nullptr;
 };
 
-/// Scored outcome of one location run.
-struct LocationResult {
-    double accuracy = 0.0;  ///< events located within r_error / events
-    std::size_t events = 0;
-    std::size_t detected = 0;
+/// Scored outcome of one location run (accuracy = events located within
+/// r_error / events; see RunResult for the shared fields).
+struct LocationResult : RunResult {
     std::size_t false_positives = 0;  ///< declared events matching no ground truth
     std::size_t isolated = 0;         ///< nodes diagnosed by the final trust table
-    double mean_ti_correct = 1.0;
-    double mean_ti_faulty = 1.0;
     std::vector<double> epoch_accuracy;  ///< accuracy per epoch_events window
-    /// Differential-oracle tallies (zero unless check.mode != off):
-    /// decisions cross-checked by the shadow arbiters, and how many
-    /// diverged from the paper-literal reference.
-    std::size_t checked_decisions = 0;
-    std::size_t oracle_divergences = 0;
-
-    /// Raw trace (populated only with LocationConfig::keep_trace).
-    std::vector<sensor::GeneratedEvent> trace_events;
-    std::vector<cluster::DecisionRecord> trace_decisions;
 };
 
 /// Runs one complete location simulation, including any fault-injection
 /// campaign the scenario carries (channel degradation windows, compromise
 /// onsets, behaviour shifts; CH failover is binary-kind only — location
 /// runs already rotate leadership). The scenario's `kind` is ignored —
-/// this entry point always runs the location workload.
+/// this entry point always runs (and validates) the location workload.
+/// Throws std::invalid_argument listing every Scenario::validate()
+/// message when the scenario is invalid.
 LocationResult run_location_experiment(const Scenario& scenario);
 
-/// The exact Scenario the legacy flat config describes (single source of
-/// the field mapping; the deprecated shim goes through it).
+/// The exact Scenario the flat config describes.
 Scenario to_scenario(const LocationConfig& config);
-
-/// Legacy entry point.
-[[deprecated("build an exp::Scenario (see to_scenario) and call the Scenario overload")]]
-LocationResult run_location_experiment(const LocationConfig& config);
 
 }  // namespace tibfit::exp

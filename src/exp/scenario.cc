@@ -298,7 +298,6 @@ void write_json(const Scenario& s, obs::json::Writer& w) {
     w.field("decay_final", s.location.decay_final);
     w.field("decay_epoch_events", static_cast<std::uint64_t>(s.location.decay_epoch_events));
     w.field("epoch_events", static_cast<std::uint64_t>(s.location.epoch_events));
-    w.field("keep_trace", s.location.keep_trace);
     w.end_object();
 
     w.end_object();
@@ -399,7 +398,6 @@ Scenario scenario_from_json(const obs::json::Value& v) {
         s.location.decay_epoch_events =
             size_or(*l, "decay_epoch_events", s.location.decay_epoch_events);
         s.location.epoch_events = size_or(*l, "epoch_events", s.location.epoch_events);
-        s.location.keep_trace = l->bool_or("keep_trace", s.location.keep_trace);
     }
     return s;
 }

@@ -1,15 +1,12 @@
 // exp::Scenario — the one aggregate describing a complete experiment.
 //
-// Historically every run was configured through a flat per-experiment
-// struct (BinaryConfig, LocationConfig) that re-declared copies of the
-// layer tunables (trust lambda, channel drop, t_out, ...). Scenario owns
-// the layer structs themselves — core::EngineConfig (with TrustParams),
-// net::ChannelParams/TransportParams, cluster::DeploymentConfig,
-// sensor::FaultParams/MobilityParams, inject::CampaignSpec — plus the two
-// small workload blocks that are genuinely experiment-shaped. One seed,
-// one validate(), one JSON round-trip; the old configs remain as thin
-// [[deprecated]] shims for one release. See docs/OBSERVABILITY.md
-// (artifact schema) and docs/FAULT_INJECTION.md (campaign wiring).
+// Scenario owns the layer structs themselves — core::EngineConfig (with
+// TrustParams), net::ChannelParams/TransportParams,
+// cluster::DeploymentConfig, sensor::FaultParams/MobilityParams,
+// inject::CampaignSpec — plus the two small workload blocks that are
+// genuinely experiment-shaped. One seed, one validate(), one JSON
+// round-trip. See docs/OBSERVABILITY.md (artifact schema) and
+// docs/FAULT_INJECTION.md (campaign wiring).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +37,10 @@ struct BinaryWorkload {
     std::size_t n_nodes = 10;
     double pct_faulty = 0.4;
     /// Temporal spread of false alarms within a quiet window, in units of
-    /// t_out (see the old BinaryConfig for the Figure-3 rationale).
+    /// t_out. 0 = perfectly coordinated (all in one CH window); large =
+    /// fully independent (each alarm adjudicated alone). The paper leaves
+    /// this implicit; the Figure-3 crossover (75% alarms helping below 80%
+    /// compromised, collapsing above) needs partial coincidence.
     double false_alarm_spread_touts = 2.0;
     std::size_t events = 100;
     double event_interval = 10.0;
@@ -74,7 +74,6 @@ struct LocationWorkload {
     double decay_final = 0.75;
     std::size_t decay_epoch_events = 50;
     std::size_t epoch_events = 50;  ///< accuracy-vs-time series granularity
-    bool keep_trace = false;
 };
 
 /// The complete description of one experiment run.
@@ -113,7 +112,7 @@ struct Scenario {
     /// Instrumentation never touches the RNG, so results are bit-identical
     /// with or without it. Not serialized.
     obs::Recorder* recorder = nullptr;
-    /// Copies the CH decision log into the result (binary runs). Not
+    /// Copies the merged CH decision log into RunResult::decisions. Not
     /// serialized.
     bool keep_decisions = false;
 
@@ -160,6 +159,23 @@ struct Scenario {
     /// Structural consistency check; one message per defect, empty ==
     /// valid. Includes campaign.validate().
     std::vector<std::string> validate() const;
+};
+
+/// What every run reports, whichever workload it ran.
+struct RunResult {
+    double accuracy = 0.0;
+    std::size_t events = 0;
+    std::size_t detected = 0;
+    double mean_ti_correct = 1.0;  ///< final mean TI of correct nodes
+    double mean_ti_faulty = 1.0;   ///< final mean TI of faulty nodes
+    /// Differential-oracle tallies (zero unless check.mode != off): how
+    /// many decisions the shadow arbiters cross-checked, and how many
+    /// diverged from the paper-literal reference.
+    std::size_t checked_decisions = 0;
+    std::size_t oracle_divergences = 0;
+    /// The CH decision log, merged over every head (only filled with
+    /// Scenario::keep_decisions).
+    std::vector<cluster::DecisionRecord> decisions;
 };
 
 /// Serializes everything except the runtime attachments (recorder,

@@ -14,22 +14,22 @@ namespace tibfit::exp {
 
 namespace {
 
-// Fans the `runs` seeded replications of `run(config)` out across the
+// Fans the `runs` seeded replications of `run(scenario)` out across the
 // process-wide par::jobs() threads and returns the per-trial results in
-// trial order. Trial r is a pure function of (config, r): it draws the
-// seed util::derive_trial_seed(config.seed, r) and, when the caller
+// trial order. Trial r is a pure function of (scenario, r): it draws the
+// seed util::derive_trial_seed(scenario.seed, r) and, when the caller
 // attached a recorder, gets a private one whose registry/trace are merged
 // back in trial order afterwards — so the aggregate is bit-identical
 // regardless of the thread count (docs/PARALLELISM.md).
-template <typename Config, typename Run>
-auto run_replications(const Config& config, std::size_t runs, Run run)
-    -> std::vector<decltype(run(config))> {
-    std::vector<decltype(run(config))> results(runs);
-    obs::Recorder* parent = config.recorder;
+template <typename Run>
+auto run_replications(const Scenario& scenario, std::size_t runs, Run run)
+    -> std::vector<decltype(run(scenario))> {
+    std::vector<decltype(run(scenario))> results(runs);
+    obs::Recorder* parent = scenario.recorder;
     std::vector<std::unique_ptr<obs::Recorder>> recorders(parent ? runs : 0);
     par::run_trials(runs, [&](std::size_t r) {
-        Config c = config;
-        c.seed = util::derive_trial_seed(config.seed, r);
+        Scenario c = scenario;
+        c.seed = util::derive_trial_seed(scenario.seed, r);
         if (parent) {
             recorders[r] = std::make_unique<obs::Recorder>();
             recorders[r]->trace().set_enabled(parent->trace().enabled());
@@ -49,16 +49,12 @@ auto run_replications(const Config& config, std::size_t runs, Run run)
 }  // namespace
 
 double mean_accuracy(Scenario scenario, std::size_t runs) {
+    const auto accuracies = run_replications(scenario, runs, [](const Scenario& s) {
+        return s.kind == Scenario::Kind::Binary ? run_binary_experiment(s).accuracy
+                                                : run_location_experiment(s).accuracy;
+    });
     double sum = 0.0;
-    if (scenario.kind == Scenario::Kind::Binary) {
-        const auto results = run_replications(
-            scenario, runs, [](const Scenario& s) { return run_binary_experiment(s); });
-        for (const auto& r : results) sum += r.accuracy;
-    } else {
-        const auto results = run_replications(
-            scenario, runs, [](const Scenario& s) { return run_location_experiment(s); });
-        for (const auto& r : results) sum += r.accuracy;
-    }
+    for (double a : accuracies) sum += a;
     return runs ? sum / static_cast<double>(runs) : 0.0;
 }
 
@@ -108,47 +104,6 @@ std::vector<double> sweep(Scenario scenario, const std::vector<double>& xs,
         Scenario s = scenario;
         set(s, x);
         out.push_back(mean_accuracy(s, runs));
-    }
-    return out;
-}
-
-// ---- Legacy shims (delegate through to_scenario; no deprecated calls
-// inside so the library itself builds warning-clean) ----
-
-double mean_binary_accuracy(BinaryConfig config, std::size_t runs) {
-    return mean_accuracy(to_scenario(config), runs);
-}
-
-double mean_location_accuracy(LocationConfig config, std::size_t runs) {
-    return mean_accuracy(to_scenario(config), runs);
-}
-
-std::vector<double> mean_epoch_accuracy(LocationConfig config, std::size_t runs) {
-    return mean_epoch_accuracy(to_scenario(config), runs);
-}
-
-std::vector<double> sweep_binary(BinaryConfig config, const std::vector<double>& xs,
-                                 const std::function<void(BinaryConfig&, double)>& set,
-                                 std::size_t runs) {
-    std::vector<double> out;
-    out.reserve(xs.size());
-    for (double x : xs) {
-        BinaryConfig c = config;
-        set(c, x);
-        out.push_back(mean_accuracy(to_scenario(c), runs));
-    }
-    return out;
-}
-
-std::vector<double> sweep_location(LocationConfig config, const std::vector<double>& xs,
-                                   const std::function<void(LocationConfig&, double)>& set,
-                                   std::size_t runs) {
-    std::vector<double> out;
-    out.reserve(xs.size());
-    for (double x : xs) {
-        LocationConfig c = config;
-        set(c, x);
-        out.push_back(mean_accuracy(to_scenario(c), runs));
     }
     return out;
 }

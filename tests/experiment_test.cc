@@ -3,32 +3,31 @@
 // seeds (small event counts keep these fast).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <sstream>
+#include <variant>
 
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
 #include "exp/sweep.h"
-#include "exp/trace.h"
+#include "obs/recorder.h"
 
 namespace tibfit::exp {
 namespace {
 
-BinaryConfig binary_base() {
-    BinaryConfig c;
-    c.n_nodes = 10;
-    c.events = 100;
-    c.lambda = 0.1;
-    c.correct_ner = 0.01;
-    c.missed_alarm_rate = 0.5;
-    c.channel_drop = 0.0;
+Scenario binary_base() {
+    Scenario c = Scenario::binary_defaults();
+    c.binary.n_nodes = 10;
+    c.binary.events = 100;
+    c.engine.trust.lambda = 0.1;
+    c.faults.natural_error_rate = 0.01;
+    c.faults.missed_alarm_rate = 0.5;
+    c.channel.drop_probability = 0.0;
     c.seed = 42;
     return c;
 }
 
-LocationConfig location_base() {
-    LocationConfig c;
-    c.events = 100;
+Scenario location_base() {
+    Scenario c = Scenario::location_defaults();
+    c.location.events = 100;
     c.seed = 42;
     return c;
 }
@@ -47,16 +46,12 @@ TEST(BinaryExperiment, RunsAllEvents) {
 }
 
 TEST(BinaryExperiment, HighAccuracyAtModerateCompromise) {
-    auto c = binary_base();
-    c.pct_faulty = 0.5;
-    const auto r = run_binary_experiment(c);
+    const auto r = run_binary_experiment(binary_base().with_pct_faulty(0.5));
     EXPECT_GT(r.accuracy, 0.9);
 }
 
 TEST(BinaryExperiment, FaultyNodesLoseTrust) {
-    auto c = binary_base();
-    c.pct_faulty = 0.5;
-    const auto r = run_binary_experiment(c);
+    const auto r = run_binary_experiment(binary_base().with_pct_faulty(0.5));
     // Correct nodes occasionally miss (NER) and recover slowly; faulty
     // nodes' trust collapses well below theirs.
     EXPECT_GT(r.mean_ti_correct, 0.8);
@@ -64,19 +59,14 @@ TEST(BinaryExperiment, FaultyNodesLoseTrust) {
 }
 
 TEST(BinaryExperiment, TibfitBeatsBaselineAtHighCompromise) {
-    auto tib = binary_base();
-    tib.pct_faulty = 0.8;
-    auto base = tib;
-    base.policy = core::DecisionPolicy::MajorityVote;
-    const double a_tib = mean_binary_accuracy(tib, 10);
-    const double a_base = mean_binary_accuracy(base, 10);
-    EXPECT_GT(a_tib, a_base);
+    const Scenario tib = binary_base().with_pct_faulty(0.8);
+    const Scenario base = Scenario(tib).with_policy(core::DecisionPolicy::MajorityVote);
+    EXPECT_GT(mean_accuracy(tib, 10), mean_accuracy(base, 10));
 }
 
 TEST(BinaryExperiment, FalseAlarmsCreateNegativeInstances) {
-    auto c = binary_base();
-    c.pct_faulty = 0.5;
-    c.false_alarm_rate = 0.75;
+    auto c = binary_base().with_pct_faulty(0.5);
+    c.faults.false_alarm_rate = 0.75;
     const auto r = run_binary_experiment(c);
     EXPECT_GT(r.false_alarm_windows, 0u);
     // With half the network fresh-compromised, the honest majority CTI
@@ -86,38 +76,32 @@ TEST(BinaryExperiment, FalseAlarmsCreateNegativeInstances) {
 
 TEST(BinaryExperiment, ModerateFalseAlarmsDoNotHurtDetection) {
     // The Figure-3 effect: false alarms drain faulty nodes' trust.
-    auto quiet = binary_base();
-    quiet.pct_faulty = 0.7;
-    auto noisy = quiet;
-    noisy.false_alarm_rate = 0.75;
-    const double det_quiet = mean_binary_accuracy(quiet, 10);
-    const double det_noisy = mean_binary_accuracy(noisy, 10);
-    EXPECT_GT(det_noisy, det_quiet - 0.05);
+    const Scenario quiet = binary_base().with_pct_faulty(0.7);
+    Scenario noisy = quiet;
+    noisy.faults.false_alarm_rate = 0.75;
+    EXPECT_GT(mean_accuracy(noisy, 10), mean_accuracy(quiet, 10) - 0.05);
 }
 
 TEST(BinaryExperiment, CorruptChDestroysAccuracy) {
-    auto c = binary_base();
-    c.pct_faulty = 0.4;
-    c.corrupt_ch = true;
+    auto c = binary_base().with_pct_faulty(0.4);
+    c.binary.corrupt_ch = true;
     const auto r = run_binary_experiment(c);
     EXPECT_LT(r.accuracy, 0.1);  // every announcement inverted
 }
 
 TEST(BinaryExperiment, ShadowsMaskCorruptCh) {
-    auto c = binary_base();
-    c.pct_faulty = 0.4;
-    c.corrupt_ch = true;
-    c.use_shadows = true;
+    auto c = binary_base().with_pct_faulty(0.4);
+    c.binary.corrupt_ch = true;
+    c.binary.use_shadows = true;
     const auto r = run_binary_experiment(c);
     EXPECT_GT(r.accuracy, 0.95);
     EXPECT_GT(r.ch_overrides, 90u);  // nearly every decision was corrected
 }
 
 TEST(BinaryExperiment, ShadowsNeutralWithHonestCh) {
-    auto c = binary_base();
-    c.pct_faulty = 0.4;
-    auto with = c;
-    with.use_shadows = true;
+    const Scenario c = binary_base().with_pct_faulty(0.4);
+    Scenario with = c;
+    with.binary.use_shadows = true;
     const auto plain = run_binary_experiment(c);
     const auto shadowed = run_binary_experiment(with);
     EXPECT_NEAR(shadowed.accuracy, plain.accuracy, 0.03);
@@ -133,76 +117,56 @@ TEST(LocationExperiment, Deterministic) {
 }
 
 TEST(LocationExperiment, NearPerfectWithFewFaults) {
-    auto c = location_base();
-    c.pct_faulty = 0.1;
-    const auto r = run_location_experiment(c);
+    const auto r = run_location_experiment(location_base().with_pct_faulty(0.1));
     EXPECT_GT(r.accuracy, 0.95);
     EXPECT_EQ(r.events, 100u);
 }
 
 TEST(LocationExperiment, FaultyNodesLoseTrust) {
-    auto c = location_base();
-    c.pct_faulty = 0.3;
-    c.events = 150;
-    const auto r = run_location_experiment(c);
+    const auto r = run_location_experiment(location_base().with_pct_faulty(0.3).with_events(150));
     EXPECT_GT(r.mean_ti_correct, 0.8);
     EXPECT_LT(r.mean_ti_faulty, r.mean_ti_correct - 0.3);
 }
 
 TEST(LocationExperiment, TibfitBeatsBaselinePastHalf) {
-    auto tib = location_base();
-    tib.pct_faulty = 0.55;
-    tib.events = 150;
-    auto base = tib;
-    base.policy = core::DecisionPolicy::MajorityVote;
-    const double a_tib = mean_location_accuracy(tib, 3);
-    const double a_base = mean_location_accuracy(base, 3);
-    EXPECT_GT(a_tib, a_base + 0.03);
+    const Scenario tib = location_base().with_pct_faulty(0.55).with_events(150);
+    const Scenario base = Scenario(tib).with_policy(core::DecisionPolicy::MajorityVote);
+    EXPECT_GT(mean_accuracy(tib, 3), mean_accuracy(base, 3) + 0.03);
 }
 
 TEST(LocationExperiment, Level1KeepsAccuracyHigh) {
     // Figure 5: the hysteresis forces level-1 nodes to mostly behave.
-    auto c = location_base();
-    c.pct_faulty = 0.58;
-    c.fault_level = sensor::NodeClass::Level1;
-    c.events = 150;
+    auto c = location_base().with_pct_faulty(0.58).with_events(150);
+    c.location.fault_level = sensor::NodeClass::Level1;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.85);
 }
 
 TEST(LocationExperiment, Level2WorseThanLevel1) {
     // Figure 6: collusion hurts more than independent smart faults.
-    auto l1 = location_base();
-    l1.pct_faulty = 0.5;
-    l1.events = 150;
-    l1.fault_level = sensor::NodeClass::Level1;
+    auto l1 = location_base().with_pct_faulty(0.5).with_events(150);
+    l1.location.fault_level = sensor::NodeClass::Level1;
     auto l2 = l1;
-    l2.fault_level = sensor::NodeClass::Level2;
-    const double a1 = mean_location_accuracy(l1, 3);
-    const double a2 = mean_location_accuracy(l2, 3);
-    EXPECT_LE(a2, a1 + 0.02);
+    l2.location.fault_level = sensor::NodeClass::Level2;
+    EXPECT_LE(mean_accuracy(l2, 3), mean_accuracy(l1, 3) + 0.02);
 }
 
 TEST(LocationExperiment, ConcurrentEventsComparableToSingle) {
     // Figure 7: concurrency does not materially change accuracy.
-    auto single = location_base();
-    single.pct_faulty = 0.3;
-    single.events = 120;
-    auto conc = single;
-    conc.burst = 2;
-    const double a_single = mean_location_accuracy(single, 3);
-    const double a_conc = mean_location_accuracy(conc, 3);
-    EXPECT_NEAR(a_conc, a_single, 0.12);
+    const Scenario single = location_base().with_pct_faulty(0.3).with_events(120);
+    Scenario conc = single;
+    conc.location.burst = 2;
+    EXPECT_NEAR(mean_accuracy(conc, 3), mean_accuracy(single, 3), 0.12);
 }
 
 TEST(LocationExperiment, DecayProducesEpochSeries) {
     auto c = location_base();
-    c.decay = true;
-    c.decay_initial = 0.05;
-    c.decay_step = 0.10;
-    c.decay_final = 0.55;
-    c.decay_epoch_events = 30;
-    c.epoch_events = 30;
+    c.location.decay = true;
+    c.location.decay_initial = 0.05;
+    c.location.decay_step = 0.10;
+    c.location.decay_final = 0.55;
+    c.location.decay_epoch_events = 30;
+    c.location.epoch_events = 30;
     const auto r = run_location_experiment(c);
     EXPECT_EQ(r.events, 6u * 30u);
     ASSERT_EQ(r.epoch_accuracy.size(), 6u);
@@ -214,16 +178,14 @@ TEST(LocationExperiment, DecayProducesEpochSeries) {
 
 TEST(LocationExperiment, DecayTibfitOutlastsBaseline) {
     auto tib = location_base();
-    tib.decay = true;
-    tib.decay_initial = 0.05;
-    tib.decay_step = 0.10;
-    tib.decay_final = 0.65;
-    tib.decay_epoch_events = 25;
-    tib.epoch_events = 25;
-    auto base = tib;
-    base.policy = core::DecisionPolicy::MajorityVote;
+    tib.location.decay = true;
+    tib.location.decay_initial = 0.05;
+    tib.location.decay_step = 0.10;
+    tib.location.decay_final = 0.65;
+    tib.location.decay_epoch_events = 25;
+    tib.location.epoch_events = 25;
     const auto rt = mean_epoch_accuracy(tib, 3);
-    const auto rb = mean_epoch_accuracy(base, 3);
+    const auto rb = mean_epoch_accuracy(tib.with_policy(core::DecisionPolicy::MajorityVote), 3);
     ASSERT_EQ(rt.size(), rb.size());
     // Cumulative accuracy over the decayed half of the run favours TIBFIT.
     double t_late = 0.0, b_late = 0.0;
@@ -235,22 +197,17 @@ TEST(LocationExperiment, DecayTibfitOutlastsBaseline) {
 }
 
 TEST(LocationExperiment, IsolationDiagnosesFaultyNodes) {
-    auto c = location_base();
-    c.pct_faulty = 0.3;
-    c.events = 200;
-    const auto r = run_location_experiment(c);
+    const auto r = run_location_experiment(location_base().with_pct_faulty(0.3).with_events(200));
     EXPECT_GT(r.isolated, 0u);  // diagnosis happened
 }
 
 TEST(LocationExperiment, MultiHopMatchesSingleHop) {
     // Section 3.4 extension: the decision pipeline should be agnostic to
     // whether reports arrive in one hop or over relays.
-    auto single = location_base();
-    single.pct_faulty = 0.3;
-    single.events = 120;
-    auto multi = single;
-    multi.multihop = true;
-    multi.radio_range = 30.0;
+    const Scenario single = location_base().with_pct_faulty(0.3).with_events(120);
+    Scenario multi = single;
+    multi.location.multihop = true;
+    multi.location.radio_range = 30.0;
     const auto rs = run_location_experiment(single);
     const auto rm = run_location_experiment(multi);
     EXPECT_NEAR(rm.accuracy, rs.accuracy, 0.08);
@@ -258,9 +215,8 @@ TEST(LocationExperiment, MultiHopMatchesSingleHop) {
 }
 
 TEST(LocationExperiment, MultiHopDeterministic) {
-    auto c = location_base();
-    c.multihop = true;
-    c.events = 60;
+    auto c = location_base().with_events(60);
+    c.location.multihop = true;
     const auto a = run_location_experiment(c);
     const auto b = run_location_experiment(c);
     EXPECT_EQ(a.accuracy, b.accuracy);
@@ -268,64 +224,65 @@ TEST(LocationExperiment, MultiHopDeterministic) {
 }
 
 TEST(LocationExperiment, CollusionDefenseImprovesLevel2) {
-    auto off = location_base();
-    off.fault_level = sensor::NodeClass::Level2;
-    off.pct_faulty = 0.55;
-    off.events = 200;
+    auto off = location_base().with_pct_faulty(0.55).with_events(200);
+    off.location.fault_level = sensor::NodeClass::Level2;
     auto on = off;
-    on.collusion_defense = true;
-    const double a_off = mean_location_accuracy(off, 3);
-    const double a_on = mean_location_accuracy(on, 3);
-    EXPECT_GT(a_on, a_off + 0.05);
+    on.engine.collusion_defense = true;
+    EXPECT_GT(mean_accuracy(on, 3), mean_accuracy(off, 3) + 0.05);
 }
 
 TEST(LocationExperiment, RandomLayoutAlsoWorks) {
-    auto c = location_base();
-    c.grid_layout = false;
-    c.pct_faulty = 0.2;
+    auto c = location_base().with_pct_faulty(0.2);
+    c.location.grid_layout = false;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.85);
 }
 
 TEST(LocationExperiment, TraceCapturesRun) {
+    // The obs trace carries the whole run: one EventInjected per generated
+    // event and one DecisionMade per kept decision, in decision order.
+    obs::Recorder rec;
+    rec.trace().set_enabled(true);
     auto c = location_base();
-    c.events = 40;
-    c.keep_trace = true;
+    c.location.events = 40;
+    c.keep_decisions = true;
+    c.recorder = &rec;
     const auto r = run_location_experiment(c);
-    EXPECT_EQ(r.trace_events.size(), 40u);
-    EXPECT_GE(r.trace_decisions.size(), r.detected);
-
-    std::ostringstream os;
-    write_trace_csv(os, r.trace_events, r.trace_decisions);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("# events"), std::string::npos);
-    EXPECT_NE(s.find("# decisions"), std::string::npos);
-    // One line per event + per decision + 4 headers/markers.
-    const auto lines = static_cast<std::size_t>(std::count(s.begin(), s.end(), '\n'));
-    EXPECT_EQ(lines, r.trace_events.size() + r.trace_decisions.size() + 4);
+    EXPECT_EQ(r.events, 40u);
+    EXPECT_EQ(rec.trace().count<obs::EventInjected>(), r.events);
+    ASSERT_EQ(rec.trace().count<obs::DecisionMade>(), r.decisions.size());
+    EXPECT_GE(r.decisions.size(), r.detected);
+    std::size_t i = 0;
+    for (const auto& record : rec.trace().records()) {
+        const auto* d = std::get_if<obs::DecisionMade>(&record.data);
+        if (!d) continue;
+        const auto& kept = r.decisions[i++];
+        EXPECT_EQ(d->decision_seq, kept.seq);
+        EXPECT_EQ(record.time, kept.time);
+        EXPECT_NEAR(record.time - d->latency, kept.window_opened, 1e-9);
+    }
 }
 
 TEST(LocationExperiment, TraceOffByDefault) {
     auto c = location_base();
-    c.events = 20;
+    c.location.events = 20;
     const auto r = run_location_experiment(c);
-    EXPECT_TRUE(r.trace_events.empty());
-    EXPECT_TRUE(r.trace_decisions.empty());
+    EXPECT_TRUE(r.decisions.empty());
 }
 
 TEST(Sweep, BinarySweepShapes) {
     auto c = binary_base();
-    const auto accs = sweep_binary(
-        c, {0.2, 0.9}, [](BinaryConfig& cfg, double x) { cfg.pct_faulty = x; }, 3);
+    const auto accs = sweep(
+        c, {0.2, 0.9}, [](Scenario& cfg, double x) { cfg.binary.pct_faulty = x; }, 3);
     ASSERT_EQ(accs.size(), 2u);
     EXPECT_GT(accs[0], accs[1]);  // more faults, less accuracy
 }
 
 TEST(Sweep, LocationSweepShapes) {
     auto c = location_base();
-    c.events = 80;
-    const auto accs = sweep_location(
-        c, {0.1, 0.58}, [](LocationConfig& cfg, double x) { cfg.pct_faulty = x; }, 2);
+    c.location.events = 80;
+    const auto accs = sweep(
+        c, {0.1, 0.58}, [](Scenario& cfg, double x) { cfg.location.pct_faulty = x; }, 2);
     ASSERT_EQ(accs.size(), 2u);
     EXPECT_GE(accs[0], accs[1]);
 }

@@ -1,17 +1,18 @@
-// exp::Scenario contract tests: the validate() rejection table, the JSON
-// round-trip, the fluent builder, and equivalence of the deprecated
-// flat-config shims with the Scenario-native entry points.
+// exp::Scenario contract tests: the validate() rejection table (which the
+// runners enforce), the JSON round-trip, the fluent with_* setters, and
+// equivalence of the LocationConfig mapping with the Scenario-native entry
+// point.
 #include "exp/scenario.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
-#include "exp/sweep.h"
 #include "obs/json.h"
 
 namespace tibfit::exp {
@@ -60,7 +61,18 @@ TEST(Scenario, ValidateRejectionTable) {
          false},
         {"explicit trust fault_rate",
          [](Scenario& s) { s.engine.trust.fault_rate = -1.0; }, true},
+        // Unvalidated, these four crash or misreport a run: SIGSEGV (no
+        // CH), SIGFPE (burst 0), llround(inf) (decay step 0), and an
+        // accuracy of 0 for an empty network.
         {"n_ch", [](Scenario& s) { s.location.n_ch = 0; }, true},
+        {"burst must be >= 1", [](Scenario& s) { s.location.burst = 0; }, true},
+        {"decay_step must be > 0",
+         [](Scenario& s) {
+             s.location.decay = true;
+             s.location.decay_step = 0.0;
+         },
+         true},
+        {"binary n_nodes must be >= 1", [](Scenario& s) { s.binary.n_nodes = 0; }, false},
         {"decay_final < decay_initial",
          [](Scenario& s) {
              s.location.decay = true;
@@ -86,6 +98,17 @@ TEST(Scenario, ValidateRejectionTable) {
         EXPECT_FALSE(errors.empty()) << c.needle;
         EXPECT_TRUE(mentions(errors, c.needle))
             << "expected an error mentioning '" << c.needle << "'";
+        // The runners refuse the same scenario, carrying every message.
+        try {
+            if (c.location_kind) {
+                run_location_experiment(s);
+            } else {
+                run_binary_experiment(s);
+            }
+            ADD_FAILURE() << "runner accepted a scenario with '" << c.needle << "'";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos) << e.what();
+        }
     }
 }
 
@@ -177,52 +200,21 @@ TEST(Scenario, FromJsonRejectsUnknownKind) {
     EXPECT_THROW(scenario_from_json_text(R"([1, 2, 3])"), std::runtime_error);
 }
 
-// The deprecated flat configs must keep producing bit-identical results
-// through their shims for the transition release.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(Scenario, BinaryShimMatchesScenarioRun) {
-    BinaryConfig c;
-    c.n_nodes = 10;
-    c.pct_faulty = 0.4;
-    c.events = 40;
-    c.false_alarm_rate = 0.1;
-    c.seed = 31337;
-    const BinaryResult via_shim = run_binary_experiment(c);
-    const BinaryResult via_scenario = run_binary_experiment(to_scenario(c));
-    EXPECT_EQ(via_shim.accuracy, via_scenario.accuracy);
-    EXPECT_EQ(via_shim.detected, via_scenario.detected);
-    EXPECT_EQ(via_shim.false_alarm_windows, via_scenario.false_alarm_windows);
-    EXPECT_EQ(via_shim.mean_ti_faulty, via_scenario.mean_ti_faulty);
-}
-
+// LocationConfig survives only for the benchmark package; its mapping
+// must keep describing exactly the Scenario-native run.
 TEST(Scenario, LocationShimMatchesScenarioRun) {
     LocationConfig c;
     c.events = 40;
     c.pct_faulty = 0.3;
     c.seed = 31337;
-    const LocationResult via_shim = run_location_experiment(c);
-    const LocationResult via_scenario = run_location_experiment(to_scenario(c));
+    const LocationResult via_shim = run_location_experiment(to_scenario(c));
+    const LocationResult via_scenario = run_location_experiment(
+        Scenario::location_defaults().with_events(40).with_pct_faulty(0.3).with_seed(31337));
     EXPECT_EQ(via_shim.accuracy, via_scenario.accuracy);
     EXPECT_EQ(via_shim.detected, via_scenario.detected);
     EXPECT_EQ(via_shim.isolated, via_scenario.isolated);
     EXPECT_EQ(via_shim.mean_ti_correct, via_scenario.mean_ti_correct);
 }
-
-TEST(Scenario, SweepShimMatchesScenarioSweep) {
-    BinaryConfig c;
-    c.events = 30;
-    c.seed = 5;
-    const std::vector<double> xs = {0.3, 0.5};
-    const auto legacy = sweep_binary(
-        c, xs, [](BinaryConfig& cfg, double x) { cfg.pct_faulty = x; }, 4);
-    const auto modern = sweep(
-        to_scenario(c), xs, [](Scenario& s, double x) { s.binary.pct_faulty = x; }, 4);
-    EXPECT_EQ(legacy, modern);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace tibfit::exp
