@@ -26,8 +26,10 @@ void BaseStation::handle_packet(const net::Packet& packet) {
         reply.v_values = archive_.export_v();
         radio_.send(packet.src, std::move(reply));
     } else if (const auto* decision = packet.as<net::DecisionPayload>()) {
-        // Only unicast copies from the CH open a vote (the broadcast copy
-        // also reaches us if in range; dedupe by key).
+        // Whichever copy of the decision arrives first opens the vote: the
+        // CH's unicast, or its broadcast if we are in range (so the base
+        // station must consume broadcast decisions). Later copies dedupe
+        // by key.
         const std::uint64_t key = vote_key(packet.src, decision->decision_seq);
         if (pending_.count(key)) return;
         PendingVote v;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/names.h"
 #include "obs/recorder.h"
@@ -53,7 +54,8 @@ void Channel::remove_monitor(sim::ProcessId monitor, sim::ProcessId target) {
     if (list.empty()) monitors_.erase(it);
 }
 
-void Channel::snoop(const Packet& packet, const Endpoint& src) {
+void Channel::snoop(std::uint32_t slot, const Endpoint& src) {
+    const Packet& packet = slots_[slot].packet;
     // Copies for monitors of either endpoint of a unicast.
     for (sim::ProcessId watched : {packet.src, packet.dst}) {
         auto it = monitors_.find(watched);
@@ -65,7 +67,7 @@ void Channel::snoop(const Packet& packet, const Endpoint& src) {
             const double dist = util::distance(src.position, mon_it->second.position);
             if (dist > src.range) continue;
             if (rng_.chance(sender_drop_probability(src))) continue;
-            deliver(mon_it->second, packet, dist);
+            deliver(mon_it->second, slot, dist);
         }
     }
 }
@@ -140,15 +142,39 @@ double Channel::sender_drop_probability(const Endpoint& sender) const {
     return sender.drop_override >= 0.0 ? sender.drop_override : params_.drop_probability;
 }
 
-void Channel::deliver(Endpoint& to, Packet packet, double dist, double extra_delay) {
+std::uint32_t Channel::store(Packet packet) {
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    slots_[slot].packet = std::move(packet);
+    slots_[slot].refs = 1;
+    return slot;
+}
+
+void Channel::release(std::uint32_t slot) {
+    if (--slots_[slot].refs == 0) free_slots_.push_back(slot);
+}
+
+void Channel::deliver(Endpoint& to, std::uint32_t slot, double dist, double extra_delay) {
+    static_assert(std::is_trivially_copyable_v<Delivery>,
+                  "a delivery must relocate by memcpy");
+    static_assert(sizeof(Delivery) <= sim::EventCallback::kInlineSize,
+                  "a delivery must fit EventCallback's inline buffer");
     const double delay = params_.base_latency + dist / params_.propagation_speed + extra_delay;
-    packet.rssi = 1.0 / (1.0 + dist * dist);
-    sim::Process* process = to.process;
+    const Delivery delivery{this, to.process, slot, 1.0 / (1.0 + dist * dist)};
 
     if (params_.airtime <= 0.0) {
-        sim_->schedule(delay, [process, packet = std::move(packet)]() mutable {
-            process->handle_packet(packet);
-        });
+        // A reception the receiver would ignore still counts as delivered,
+        // but needs no event. (With airtime it must stay: it can collide.)
+        if (to.process->consumes(slots_[slot].packet)) {
+            ++slots_[slot].refs;
+            sim_->schedule(delay, delivery);
+        }
         ++delivered_;
         if (c_delivered_) c_delivered_->inc();
         return;
@@ -172,6 +198,7 @@ void Channel::deliver(Endpoint& to, Packet packet, double dist, double extra_del
         if (arrive < r.end && r.start < end) {
             collided = true;
             if (sim_->cancel(r.timer)) {  // the victim dies mid-air
+                release(r.slot);
                 ++collisions_;
                 if (c_collisions_) c_collisions_->inc();
             }
@@ -180,16 +207,23 @@ void Channel::deliver(Endpoint& to, Packet packet, double dist, double extra_del
     if (collided) {
         ++collisions_;
         if (c_collisions_) c_collisions_->inc();
-        note_drop(packet, obs::DropReason::Collision);
-        flights.push_back(Reception{arrive, end, sim::Timer{}});  // jam marker
+        note_drop(slots_[slot].packet, obs::DropReason::Collision);
+        flights.push_back(Reception{arrive, end, sim::Timer{}, slot});  // jam marker
         return;
     }
-    sim::Timer t = sim_->schedule(delay, [this, process, packet = std::move(packet)]() mutable {
+    ++slots_[slot].refs;
+    flights.push_back(Reception{arrive, end, sim_->schedule(delay, delivery), slot});
+}
+
+void Channel::fire(const Delivery& d) {
+    if (params_.airtime > 0.0) {  // collision-free receptions count at send
         ++delivered_;
         if (c_delivered_) c_delivered_->inc();
-        process->handle_packet(packet);
-    });
-    flights.push_back(Reception{arrive, end, t});
+    }
+    Packet& packet = slots_[d.slot].packet;
+    packet.rssi = d.rssi;
+    d.process->handle_packet(packet);
+    release(d.slot);
 }
 
 bool Channel::unicast(Packet packet) {
@@ -210,8 +244,16 @@ bool Channel::unicast(Packet packet) {
         return false;
     }
     packet.sent_at = sim_->now();
-    snoop(packet, src_it->second);
-    if (rng_.chance(sender_drop_probability(src_it->second))) {
+    const std::uint32_t slot = store(std::move(packet));
+    const bool sent = send_stored(slot, src_it->second, dst_it->second, dist);
+    release(slot);
+    return sent;
+}
+
+bool Channel::send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst, double dist) {
+    const Packet& packet = slots_[slot].packet;
+    snoop(slot, src);
+    if (rng_.chance(sender_drop_probability(src))) {
         ++dropped_;
         if (c_dropped_) c_dropped_->inc();
         note_drop(packet, obs::DropReason::Natural);
@@ -233,12 +275,12 @@ bool Channel::unicast(Packet packet) {
         if (duplicate) {
             ++injected_duplicates_;
             if (c_injected_duplicates_) c_injected_duplicates_->inc();
-            deliver(dst_it->second, packet, dist, injected_extra_delay(*w));
+            deliver(dst, slot, dist, injected_extra_delay(*w));
         }
-        deliver(dst_it->second, std::move(packet), dist, extra);
+        deliver(dst, slot, dist, extra);
         return true;
     }
-    deliver(dst_it->second, std::move(packet), dist);
+    deliver(dst, slot, dist);
     return true;
 }
 
@@ -248,10 +290,12 @@ std::size_t Channel::broadcast(Packet packet) {
     const Endpoint& src = src_it->second;
     packet.sent_at = sim_->now();
     packet.dst = kBroadcast;
+    const std::uint32_t slot = store(std::move(packet));
+    const Packet& stored = slots_[slot].packet;
 
     std::size_t n = 0;
     for (auto& [id, ep] : endpoints_) {
-        if (id == packet.src) continue;
+        if (id == stored.src) continue;
         const double dist = util::distance(src.position, ep.position);
         if (dist > src.range) {
             ++out_of_range_;
@@ -261,7 +305,7 @@ std::size_t Channel::broadcast(Packet packet) {
         if (rng_.chance(sender_drop_probability(src))) {
             ++dropped_;
             if (c_dropped_) c_dropped_->inc();
-            note_drop(packet, obs::DropReason::Natural);
+            note_drop(stored, obs::DropReason::Natural);
             continue;
         }
         // Same injection stack as unicast, with independent coins per
@@ -270,22 +314,23 @@ std::size_t Channel::broadcast(Packet packet) {
             if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
                 ++injected_drops_;
                 if (c_injected_drops_) c_injected_drops_->inc();
-                note_drop(packet, obs::DropReason::Injected);
+                note_drop(stored, obs::DropReason::Injected);
                 continue;
             }
             const double extra = injected_extra_delay(*w);
             if (w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability)) {
                 ++injected_duplicates_;
                 if (c_injected_duplicates_) c_injected_duplicates_->inc();
-                deliver(ep, packet, dist, injected_extra_delay(*w));
+                deliver(ep, slot, dist, injected_extra_delay(*w));
             }
-            deliver(ep, packet, dist, extra);
+            deliver(ep, slot, dist, extra);
             ++n;
             continue;
         }
-        deliver(ep, packet, dist);
+        deliver(ep, slot, dist);
         ++n;
     }
+    release(slot);
     return n;
 }
 

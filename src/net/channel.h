@@ -6,7 +6,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/process.h"
@@ -54,6 +57,9 @@ struct ChannelFaultWindow {
 class Channel {
   public:
     Channel(sim::Simulator& sim, util::Rng rng, ChannelParams params = {});
+    // Pending delivery events hold the channel's address.
+    Channel(const Channel&) = delete;
+    Channel& operator=(const Channel&) = delete;
 
     /// Attaches a process at a position with a radio range. A process must
     /// be attached before it can send or receive; re-attaching updates
@@ -108,6 +114,12 @@ class Channel {
     std::size_t injected_delays() const { return injected_delays_; }
     std::size_t injected_reorders() const { return injected_reorders_; }
 
+    /// Packet slots ever allocated. Bounded by the peak number of packets
+    /// in flight at once, since freed slots are recycled.
+    std::size_t packet_slot_count() const { return slots_.size(); }
+    /// Packet slots still held by a pending delivery.
+    std::size_t live_packet_slots() const { return slots_.size() - free_slots_.size(); }
+
     /// Mirrors the telemetry counters into `recorder` (nullptr detaches).
     /// With tracing enabled, drops of report-carrying packets also emit
     /// ReportDropped trace records. Counter pointers are resolved once here,
@@ -115,11 +127,30 @@ class Channel {
     void set_recorder(obs::Recorder* recorder);
 
   private:
+    /// One sent packet, stored once and shared by every reception of it
+    /// (receivers, monitor copies, injected duplicates). Each pending
+    /// delivery holds one reference, and so does the send in progress.
+    struct PacketSlot {
+        Packet packet;
+        std::uint32_t refs = 0;
+    };
+
+    /// The delivery event. Trivially copyable and small enough for
+    /// EventCallback's inline buffer, so scheduling it never allocates.
+    struct Delivery {
+        Channel* channel;
+        sim::Process* process;
+        std::uint32_t slot;
+        double rssi;
+        void operator()() const { channel->fire(*this); }
+    };
+
     /// One in-flight reception at an endpoint (collision model).
     struct Reception {
         double start;
         double end;
         sim::Timer timer;  ///< inert for jam markers of already-lost packets
+        std::uint32_t slot;  ///< its packet; the reference is dropped if `timer` is cancelled
     };
 
     struct Endpoint {
@@ -131,8 +162,16 @@ class Channel {
     };
 
     double sender_drop_probability(const Endpoint& sender) const;
-    void deliver(Endpoint& to, Packet packet, double dist, double extra_delay = 0.0);
-    void snoop(const Packet& packet, const Endpoint& src);
+    /// Moves `packet` into a free slot holding one reference (the send's).
+    std::uint32_t store(Packet packet);
+    /// Drops one reference; the last one frees the slot for reuse.
+    void release(std::uint32_t slot);
+    void deliver(Endpoint& to, std::uint32_t slot, double dist, double extra_delay = 0.0);
+    void fire(const Delivery& d);
+    /// unicast() past its range checks: snoop copies, loss and injection
+    /// coins, then the delivery of the packet stored in `slot`.
+    bool send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst, double dist);
+    void snoop(std::uint32_t slot, const Endpoint& src);
     void note_drop(const Packet& packet, obs::DropReason reason);
 
     /// Fault window covering the current simulation time, or nullptr.
@@ -151,6 +190,10 @@ class Channel {
     /// target -> monitors listening on it
     std::unordered_map<sim::ProcessId, std::vector<sim::ProcessId>> monitors_;
     std::vector<ChannelFaultWindow> fault_windows_;
+    /// Packet storage; a deque so handlers that send while a delivery
+    /// fires never move a packet some pending delivery still refers to.
+    std::deque<PacketSlot> slots_;
+    std::vector<std::uint32_t> free_slots_;
     util::Rng fault_rng_{0};
     std::size_t delivered_ = 0;
     std::size_t dropped_ = 0;

@@ -1,5 +1,6 @@
 #include "sensor/sensor_node.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tibfit::sensor {
@@ -84,6 +85,19 @@ void SensorNode::transmit(const SenseAction& action) {
         put_on_air();
     }
     ++reports_sent_;
+}
+
+bool SensorNode::consumes(const net::Packet& packet) const {
+    if (packet.as<net::RelayEnvelopePayload>() || packet.as<net::RelayAckPayload>()) {
+        return transport_.has_value();
+    }
+    if (const auto* d = packet.as<net::DecisionPayload>()) {
+        const auto names_me = [this](const std::vector<core::NodeId>& ids) {
+            return std::find(ids.begin(), ids.end(), id()) != ids.end();
+        };
+        return names_me(d->judged_correct) || names_me(d->judged_faulty);
+    }
+    return packet.as<net::ChAdvertPayload>() != nullptr;
 }
 
 void SensorNode::handle_packet(const net::Packet& packet) {

@@ -65,6 +65,9 @@ class SensorNode : public sim::Process {
     /// node.
     void enable_relay(const net::RoutingTable* routes, net::TransportParams params = {});
 
+    /// The node's radio (telemetry).
+    const net::Radio& radio() const { return radio_; }
+
     /// The relay shim, if enabled (telemetry).
     const net::ReliableTransport* transport() const {
         return transport_ ? &*transport_ : nullptr;
@@ -92,6 +95,9 @@ class SensorNode : public sim::Process {
 
     // sim::Process
     void handle_packet(const net::Packet& packet) override;
+    /// Relay traffic iff a transport is enabled, decisions that name this
+    /// node, and CH adverts; handle_packet ignores everything else.
+    bool consumes(const net::Packet& packet) const override;
 
   private:
     void transmit(const SenseAction& action);

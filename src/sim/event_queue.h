@@ -82,14 +82,17 @@ inline constexpr CallbackOps kHeapCallbackOps = {
 }  // namespace detail
 
 /// A move-only `void()` callable with inline storage for small captures.
-/// Every scheduling lambda in the simulator (a `this` pointer plus a few
-/// scalars or a payload struct) fits inline; larger callables fall back to
-/// one heap allocation, exactly like std::function — the fallback keeps
-/// the type general, the inline path keeps the hot path allocation-free.
+/// Callables up to kInlineSize bytes are stored inline; larger ones fall
+/// back to one heap allocation, exactly like std::function. The fallback
+/// keeps the type general, the inline path keeps the hot path
+/// allocation-free. A closure that captures a whole net::Packet (112
+/// bytes) does not fit, which is why channel deliveries capture a 32-byte
+/// handle to a channel-owned packet slot instead (net::Channel::Delivery,
+/// which static_asserts the fit).
 class EventCallback {
   public:
-    /// Inline capture budget. Sized for the largest scheduling lambda in
-    /// the tree (SensorNode's jittered transmit closure: this + sink + a
+    /// Inline capture budget. Sized for the largest scheduling lambda on a
+    /// hot path (SensorNode's jittered transmit closure: this + sink + a
     /// ReportPayload) with headroom.
     static constexpr std::size_t kInlineSize = 64;
 

@@ -35,6 +35,15 @@ class Process {
     /// Delivery hook invoked by the channel when a packet arrives.
     virtual void handle_packet(const net::Packet& packet) = 0;
 
+    /// Receiver interest: false means handle_packet(packet) would be a
+    /// no-op, so a collision-free channel counts the reception as
+    /// delivered but schedules no event for it. The channel asks at send
+    /// time, after every loss and injection coin of the reception is drawn,
+    /// so the answer must be exact and must not depend on when the packet
+    /// arrives: an override may read only the packet and state fixed
+    /// before the run starts (never state that changes while it runs).
+    virtual bool consumes(const net::Packet& /*packet*/) const { return true; }
+
   private:
     Simulator* sim_;
     ProcessId id_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/channel.h"
+#include "net/routing.h"
 #include "sensor/event_generator.h"
 
 namespace tibfit::sensor {
@@ -116,6 +117,108 @@ TEST_F(SensorNodeTest, IgnoresJudgementsOfOtherNodes) {
     p.payload = d;
     node->handle_packet(p);
     EXPECT_DOUBLE_EQ(node->tracked_ti(), 1.0);
+}
+
+net::Packet packet_from(sim::ProcessId src, net::Payload payload) {
+    net::Packet p;
+    p.src = src;
+    p.dst = net::kBroadcast;
+    p.payload = std::move(payload);
+    return p;
+}
+
+/// Everything handle_packet could change: proof that an unconsumed packet
+/// really is a no-op for the node.
+struct NodeObservation {
+    double tracked_ti;
+    sim::ProcessId cluster_head;
+    bool affiliating;
+    std::size_t radio_sent;
+    std::size_t pending;
+
+    bool operator==(const NodeObservation& o) const {
+        return tracked_ti == o.tracked_ti && cluster_head == o.cluster_head &&
+               affiliating == o.affiliating && radio_sent == o.radio_sent &&
+               pending == o.pending;
+    }
+};
+
+NodeObservation observe(const SensorNode& node, const sim::Simulator& s) {
+    return {node.tracked_ti(), node.cluster_head(), node.affiliating(), node.radio().sent(),
+            s.pending()};
+}
+
+TEST_F(SensorNodeTest, ConsumesTruthTable) {
+    auto node = make_node(0, {40, 40}, std::make_unique<CorrectBehavior>(honest()));
+
+    net::DecisionPayload names_correct;
+    names_correct.judged_correct = {4, 0};
+    net::DecisionPayload names_faulty;
+    names_faulty.judged_faulty = {0};
+    net::DecisionPayload names_others;
+    names_others.judged_correct = {1, 2};
+    names_others.judged_faulty = {3};
+    EXPECT_TRUE(node->consumes(packet_from(10, names_correct)));
+    EXPECT_TRUE(node->consumes(packet_from(10, names_faulty)));
+    EXPECT_FALSE(node->consumes(packet_from(10, names_others)));
+    EXPECT_FALSE(node->consumes(packet_from(10, net::DecisionPayload{})));
+
+    // Adverts are always consumed: whether one matters depends on the
+    // affiliation state at arrival, which consumes() must not read.
+    const net::Packet advert = packet_from(10, net::ChAdvertPayload{});
+    EXPECT_FALSE(node->affiliating());
+    EXPECT_TRUE(node->consumes(advert));
+    node->begin_affiliation(1.0);
+    EXPECT_TRUE(node->affiliating());
+    EXPECT_TRUE(node->consumes(advert));
+    simulator_.run();
+
+    EXPECT_FALSE(node->consumes(packet_from(10, net::ReportPayload{})));
+    EXPECT_FALSE(node->consumes(packet_from(10, net::AffiliatePayload{})));
+    EXPECT_FALSE(node->consumes(packet_from(10, net::TiTransferPayload{{{0, 1.0}}})));
+    EXPECT_FALSE(node->consumes(packet_from(10, net::TiRequestPayload{})));
+    EXPECT_FALSE(node->consumes(packet_from(10, net::SchAlertPayload{})));
+
+    // Relay traffic only matters to a node with a transport.
+    const net::Packet envelope = packet_from(10, net::RelayEnvelopePayload{});
+    const net::Packet ack = packet_from(10, net::RelayAckPayload{});
+    EXPECT_FALSE(node->consumes(envelope));
+    EXPECT_FALSE(node->consumes(ack));
+    net::RoutingTable routes;
+    node->enable_relay(&routes);
+    EXPECT_TRUE(node->consumes(envelope));
+    EXPECT_TRUE(node->consumes(ack));
+}
+
+TEST_F(SensorNodeTest, UnconsumedPacketsAreNoOps) {
+    net::DecisionPayload names_others;
+    names_others.judged_correct = {1, 2};
+    names_others.judged_faulty = {3};
+    net::RelayEnvelopePayload envelope;
+    envelope.source = 5;
+    envelope.final_dst = 10;
+    const std::vector<net::Packet> ignored = {
+        packet_from(10, names_others),
+        packet_from(10, net::ReportPayload{}),
+        packet_from(10, net::AffiliatePayload{}),
+        packet_from(10, net::TiTransferPayload{{{0, 1.0}}}),
+        packet_from(10, net::TiRequestPayload{}),
+        packet_from(10, net::SchAlertPayload{}),
+        packet_from(10, envelope),
+        packet_from(10, net::RelayAckPayload{5, 0}),
+    };
+    for (const bool affiliating : {false, true}) {
+        auto node = make_node(0, {40, 40}, std::make_unique<CorrectBehavior>(honest()));
+        if (affiliating) node->begin_affiliation(1.0);
+        for (const auto& p : ignored) {
+            ASSERT_FALSE(node->consumes(p)) << p.payload.index();
+            const NodeObservation before = observe(*node, simulator_);
+            node->handle_packet(p);
+            EXPECT_TRUE(observe(*node, simulator_) == before) << p.payload.index();
+        }
+        simulator_.run();
+    }
+    EXPECT_TRUE(ch_.received.empty());
 }
 
 TEST_F(SensorNodeTest, TxJitterDelaysButDelivers) {
