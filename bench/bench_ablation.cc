@@ -9,6 +9,7 @@
 //   5. CH rotation period (no rotation / 20 / 5 events).
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "exp/bench_io.h"
 #include "exp/location_experiment.h"
@@ -26,59 +27,61 @@ int main(int argc, char** argv) {
     base.seed = 20050628;
     const std::size_t runs = io.trial_runs(5);
 
-    util::Table t("Ablations (level 0, 50% faulty, 200 events, accuracy averaged over 5 seeds)");
-    t.header({"variant", "accuracy"});
-    const auto mean_with = [&](const std::function<void(exp::Scenario&)>& change) {
+    // One cell per variant, all run as one sweep; the table is laid out
+    // from the returned means afterwards.
+    std::vector<std::string> variants;
+    std::vector<exp::Scenario> cells;
+    const auto variant = [&](std::string name, const std::function<void(exp::Scenario&)>& change) {
         exp::Scenario c = base;
         change(c);
-        return exp::mean_accuracy(c, runs);
-    };
-    const auto row = [&](const std::string& variant, double accuracy) {
-        t.row({variant, util::Table::num(accuracy, 3)});
+        variants.push_back(std::move(name));
+        cells.push_back(c);
     };
 
-    row("baseline config (isolation on, lambda 0.25, f_r 0.1, grid, rot 20)",
-        mean_with([](exp::Scenario&) {}));
-    row("isolation off", mean_with([](exp::Scenario& c) { c.engine.trust.removal_ti = 0.0; }));
+    variant("baseline config (isolation on, lambda 0.25, f_r 0.1, grid, rot 20)",
+            [](exp::Scenario&) {});
+    variant("isolation off", [](exp::Scenario& c) { c.engine.trust.removal_ti = 0.0; });
     for (double lambda : {0.1, 0.5}) {
-        row("lambda = " + util::Table::num(lambda, 2),
-            mean_with([&](exp::Scenario& c) { c.engine.trust.lambda = lambda; }));
+        variant("lambda = " + util::Table::num(lambda, 2),
+                [&](exp::Scenario& c) { c.engine.trust.lambda = lambda; });
     }
     for (double fr : {0.05, 0.2}) {
-        row("f_r = " + util::Table::num(fr, 2),
-            mean_with([&](exp::Scenario& c) { c.engine.trust.fault_rate = fr; }));
+        variant("f_r = " + util::Table::num(fr, 2),
+                [&](exp::Scenario& c) { c.engine.trust.fault_rate = fr; });
     }
-    row("random placement", mean_with([](exp::Scenario& c) { c.location.grid_layout = false; }));
+    variant("random placement", [](exp::Scenario& c) { c.location.grid_layout = false; });
     // rotation_period 0: a single CH for the whole run.
-    row("no CH rotation", mean_with([](exp::Scenario& c) { c.location.rotation_period = 0; }));
-    row("CH rotation every 5 events",
-        mean_with([](exp::Scenario& c) { c.location.rotation_period = 5; }));
-    row("trust-weighted location estimate",
-        mean_with([](exp::Scenario& c) { c.engine.trust_weighted_location = true; }));
-    {
-        // The substrate matters: with a contending medium and no MAC the
-        // same-instant reports of every event annihilate each other;
-        // CSMA-like random access restores the protocol.
-        const double no_mac = mean_with([](exp::Scenario& c) { c.channel.airtime = 2e-4; });
-        const double with_mac = mean_with([](exp::Scenario& c) {
-            c.channel.airtime = 2e-4;
-            c.location.tx_jitter = 0.05;
-        });
-        row("MAC collisions on (airtime 0.2 ms), no random access", no_mac);
-        row("MAC collisions on + 50 ms random-access jitter", with_mac);
+    variant("no CH rotation", [](exp::Scenario& c) { c.location.rotation_period = 0; });
+    variant("CH rotation every 5 events",
+            [](exp::Scenario& c) { c.location.rotation_period = 5; });
+    variant("trust-weighted location estimate",
+            [](exp::Scenario& c) { c.engine.trust_weighted_location = true; });
+    // The substrate matters: with a contending medium and no MAC the
+    // same-instant reports of every event annihilate each other;
+    // CSMA-like random access restores the protocol.
+    variant("MAC collisions on (airtime 0.2 ms), no random access",
+            [](exp::Scenario& c) { c.channel.airtime = 2e-4; });
+    variant("MAC collisions on + 50 ms random-access jitter", [](exp::Scenario& c) {
+        c.channel.airtime = 2e-4;
+        c.location.tx_jitter = 0.05;
+    });
+    // Two more cells share the last row: level 2 with the plain, then the
+    // trust-weighted, centre of gravity.
+    exp::Scenario level2 = base;
+    level2.location.fault_level = sensor::NodeClass::Level2;
+    cells.push_back(level2);
+    level2.engine.trust_weighted_location = true;
+    cells.push_back(level2);
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Ablations (level 0, 50% faulty, 200 events, accuracy averaged over 5 seeds)");
+    t.header({"variant", "accuracy"});
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+        t.row({variants[i], util::Table::num(acc[i], 3)});
     }
-    {
-        const auto level2 = [](exp::Scenario& c) {
-            c.location.fault_level = sensor::NodeClass::Level2;
-        };
-        const double off = mean_with(level2);
-        const double on = mean_with([&](exp::Scenario& c) {
-            level2(c);
-            c.engine.trust_weighted_location = true;
-        });
-        t.row({"level 2: plain cg -> trust-weighted cg",
-               util::Table::num(off, 3) + " -> " + util::Table::num(on, 3)});
-    }
+    const std::size_t l2 = variants.size();
+    t.row({"level 2: plain cg -> trust-weighted cg",
+           util::Table::num(acc[l2], 3) + " -> " + util::Table::num(acc[l2 + 1], 3)});
     io.emit(t);
     io.params()
         .set("pct_faulty", base.location.pct_faulty)

@@ -26,23 +26,31 @@ int main(int argc, char** argv) {
     const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
     const std::size_t runs = io.trial_runs(5);
 
-    util::Table t("Extension: level-2 collusion with and without the collusion detector");
-    t.header({"% faulty", "TIBFIT (paper)", "TIBFIT + detector", "detector vs jittered echoes",
-              "Baseline"});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
         exp::Scenario c = base;
         c.location.pct_faulty = p;
-        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        cells.push_back(c);
         c.engine.collusion_defense = true;
-        row.push_back(exp::mean_accuracy(c, runs));
+        cells.push_back(c);
         // The arms race: adaptive colluders jitter their echoes past the
         // detector's epsilon, restoring (most of) the attack.
         c.faults.collusion_jitter = 0.5;
-        row.push_back(exp::mean_accuracy(c, runs));
+        cells.push_back(c);
         exp::Scenario baseline = base;
         baseline.location.pct_faulty = p;
         baseline.engine.policy = core::DecisionPolicy::MajorityVote;
-        row.push_back(exp::mean_accuracy(baseline, runs));
+        cells.push_back(baseline);
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Extension: level-2 collusion with and without the collusion detector");
+    t.header({"% faulty", "TIBFIT (paper)", "TIBFIT + detector", "detector vs jittered echoes",
+              "Baseline"});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (int c = 0; c < 4; ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

@@ -24,17 +24,25 @@ int main(int argc, char** argv) {
     const std::vector<double> pct = {0.10, 0.30, 0.50};
     const std::size_t runs = io.trial_runs(5);
 
-    util::Table t("Extension: stationary vs mobile network (level 0, TIBFIT)");
-    t.header({"% faulty", "stationary", "mobile 0.5-1.5 u/s", "mobile 2-4 u/s"});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
         exp::Scenario c = base;
         c.location.pct_faulty = p;
-        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        cells.push_back(c);
         c.location.mobile = true;
-        row.push_back(exp::mean_accuracy(c, runs));
+        cells.push_back(c);
         c.mobility.speed_min = 2.0;
         c.mobility.speed_max = 4.0;
-        row.push_back(exp::mean_accuracy(c, runs));
+        cells.push_back(c);
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Extension: stationary vs mobile network (level 0, TIBFIT)");
+    t.header({"% faulty", "stationary", "mobile 0.5-1.5 u/s", "mobile 2-4 u/s"});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (int c = 0; c < 3; ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

@@ -26,17 +26,25 @@ int main(int argc, char** argv) {
     const std::vector<double> pct = {0.10, 0.30, 0.50, 0.58};
     const std::size_t runs = io.trial_runs(5);
 
-    util::Table t("Extension: single-hop vs multi-hop report collection (level 0, TIBFIT)");
-    t.header({"% faulty", "single-hop", "multi-hop (range 30)", "multi-hop (range 25)"});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
         exp::Scenario c = base;
         c.location.pct_faulty = p;
-        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        cells.push_back(c);
         c.location.multihop = true;
         for (double range : {30.0, 25.0}) {
             c.location.radio_range = range;
-            row.push_back(exp::mean_accuracy(c, runs));
+            cells.push_back(c);
         }
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Extension: single-hop vs multi-hop report collection (level 0, TIBFIT)");
+    t.header({"% faulty", "single-hop", "multi-hop (range 30)", "multi-hop (range 25)"});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (int c = 0; c < 3; ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

@@ -29,17 +29,25 @@ int main(int argc, char** argv) {
     const std::vector<double> pct = {0.40, 0.60, 0.80};
     const std::size_t runs = io.trial_runs(10);
 
-    util::Table t("Extension: corrupt cluster head masked by shadow CHs + base station vote");
-    t.header({"% faulty nodes", "honest CH", "corrupt CH, no shadows",
-              "corrupt CH + shadows"});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
         exp::Scenario c = base;
         c.binary.pct_faulty = p;
-        std::vector<double> row{100.0 * p, exp::mean_accuracy(c, runs)};
+        cells.push_back(c);
         c.binary.corrupt_ch = true;
-        row.push_back(exp::mean_accuracy(c, runs));
+        cells.push_back(c);
         c.binary.use_shadows = true;
-        row.push_back(exp::mean_accuracy(c, runs));
+        cells.push_back(c);
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Extension: corrupt cluster head masked by shadow CHs + base station vote");
+    t.header({"% faulty nodes", "honest CH", "corrupt CH, no shadows",
+              "corrupt CH + shadows"});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (int c = 0; c < 3; ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

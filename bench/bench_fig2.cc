@@ -35,21 +35,28 @@ int main(int argc, char** argv) {
     const std::vector<double> ners = {0.00, 0.01, 0.05};
     const std::size_t runs = io.trial_runs(30);
 
-    util::Table t("Figure 2: binary model accuracy vs % faulty (missed alarms only)");
-    t.header({"% faulty", "NER 0% TIBFIT", "NER 1% TIBFIT", "NER 5% TIBFIT", "NER 1% Baseline"});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
         for (double ner : ners) {
             exp::Scenario s = base;
             s.binary.pct_faulty = p;
             s.faults.natural_error_rate = ner;
-            row.push_back(exp::mean_accuracy(s, runs));
+            cells.push_back(s);
         }
         exp::Scenario b = base;
         b.binary.pct_faulty = p;
         b.faults.natural_error_rate = 0.01;
         b.engine.policy = core::DecisionPolicy::MajorityVote;
-        row.push_back(exp::mean_accuracy(b, runs));
+        cells.push_back(b);
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Figure 2: binary model accuracy vs % faulty (missed alarms only)");
+    t.header({"% faulty", "NER 0% TIBFIT", "NER 1% TIBFIT", "NER 5% TIBFIT", "NER 1% Baseline"});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (std::size_t c = 0; c <= ners.size(); ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

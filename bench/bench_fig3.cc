@@ -30,16 +30,23 @@ int main(int argc, char** argv) {
     const std::vector<double> fas = {0.0, 0.10, 0.75};
     const std::size_t runs = io.trial_runs(30);
 
-    util::Table t("Figure 3: binary model accuracy vs % faulty (missed + false alarms, NER 1%)");
-    t.header({"% faulty", "FA 0%", "FA 10%", "FA 75%"});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
         for (double fa : fas) {
             exp::Scenario c = base;
             c.binary.pct_faulty = p;
             c.faults.false_alarm_rate = fa;
-            row.push_back(exp::mean_accuracy(c, runs));
+            cells.push_back(c);
         }
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Figure 3: binary model accuracy vs % faulty (missed + false alarms, NER 1%)");
+    t.header({"% faulty", "FA 0%", "FA 10%", "FA 75%"});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (std::size_t c = 0; c < fas.size(); ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

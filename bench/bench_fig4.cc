@@ -42,18 +42,25 @@ int main(int argc, char** argv) {
     };
     const std::size_t runs = io.trial_runs(5);
 
-    util::Table t("Figure 4: location model accuracy vs % faulty (level 0)");
-    t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
         for (const auto& s : series) {
             exp::Scenario sc = base;
             sc.location.pct_faulty = p;
             sc.faults.correct_sigma = s.cs;
             sc.faults.faulty_sigma = s.fs;
             sc.engine.policy = s.policy;
-            row.push_back(exp::mean_accuracy(sc, runs));
+            cells.push_back(sc);
         }
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Figure 4: location model accuracy vs % faulty (level 0)");
+    t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (std::size_t c = 0; c < std::size(series); ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

@@ -36,18 +36,25 @@ int main(int argc, char** argv) {
     };
     const std::size_t runs = io.trial_runs(5);
 
-    util::Table t("Figure 6: location model accuracy vs % faulty (level 2, colluding)");
-    t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
+    std::vector<exp::Scenario> cells;
     for (double p : pct) {
-        std::vector<double> row{100.0 * p};
         for (const auto& s : series) {
             exp::Scenario c = base;
             c.location.pct_faulty = p;
             c.faults.correct_sigma = s.cs;
             c.faults.faulty_sigma = s.fs;
             c.engine.policy = s.policy;
-            row.push_back(exp::mean_accuracy(c, runs));
+            cells.push_back(c);
         }
+    }
+    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+
+    util::Table t("Figure 6: location model accuracy vs % faulty (level 2, colluding)");
+    t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
+    auto cell = acc.begin();
+    for (double p : pct) {
+        std::vector<double> row{100.0 * p};
+        for (std::size_t c = 0; c < std::size(series); ++c) row.push_back(*cell++);
         t.row_values(row, 3);
     }
     io.emit(t);

@@ -40,14 +40,15 @@ int main(int argc, char** argv) {
     };
     const std::size_t runs = io.trial_runs(5);
 
-    std::vector<std::vector<double>> curves;
+    std::vector<exp::Scenario> cells;
     for (const auto& s : series) {
         exp::Scenario c = base;
         c.faults.correct_sigma = s.cs;
         c.faults.faulty_sigma = 4.25;
         c.engine.policy = s.policy;
-        curves.push_back(exp::mean_epoch_accuracy(c, runs));
+        cells.push_back(c);
     }
+    const std::vector<std::vector<double>> curves = exp::mean_epoch_accuracies(cells, runs);
 
     util::Table t("Figure 8: network decay, accuracy per 50-event epoch (faulty sigma 4.25)");
     t.header({"events", "% faulty", series[0].name, series[1].name, series[2].name,

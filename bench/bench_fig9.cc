@@ -35,14 +35,15 @@ int main(int argc, char** argv) {
     };
     const std::size_t runs = io.trial_runs(5);
 
-    std::vector<std::vector<double>> curves;
+    std::vector<exp::Scenario> cells;
     for (const auto& s : series) {
         exp::Scenario c = base;
         c.faults.correct_sigma = s.cs;
         c.faults.faulty_sigma = 6.0;
         c.engine.policy = s.policy;
-        curves.push_back(exp::mean_epoch_accuracy(c, runs));
+        cells.push_back(c);
     }
+    const std::vector<std::vector<double>> curves = exp::mean_epoch_accuracies(cells, runs);
 
     util::Table t("Figure 9: network decay, accuracy per 50-event epoch (faulty sigma 6.0)");
     t.header({"events", "% faulty", series[0].name, series[1].name, series[2].name,

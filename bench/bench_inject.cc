@@ -102,16 +102,22 @@ int main(int argc, char** argv) {
     // ---- Table A: accuracy vs injected extra loss ----
     const std::vector<double> losses =
         smoke ? std::vector<double>{0.0, 0.4} : std::vector<double>{0.0, 0.2, 0.4, 0.6, 0.8};
-    util::Table a("Injected channel loss: plain vs reliable report transport");
-    a.header({"extra loss", "plain", "reliable"});
+    std::vector<exp::Scenario> cells;
     for (double loss : losses) {
         exp::Scenario s = base;
         s.campaign = loss_campaign(loss);
-        std::vector<double> row{loss};
         for (bool reliable : {false, true}) {
             s.binary.reliable_reports = reliable;
-            row.push_back(exp::mean_accuracy(s, runs));
+            cells.push_back(s);
         }
+    }
+    const std::vector<double> loss_acc = exp::mean_accuracies(cells, runs);
+    util::Table a("Injected channel loss: plain vs reliable report transport");
+    a.header({"extra loss", "plain", "reliable"});
+    auto cell = loss_acc.begin();
+    for (double loss : losses) {
+        std::vector<double> row{loss};
+        for (int c = 0; c < 2; ++c) row.push_back(*cell++);
         a.row_values(row, 3);
     }
     io.emit(a);
@@ -125,18 +131,24 @@ int main(int argc, char** argv) {
     fb.faults.false_alarm_rate = false_alarm_rate;
     const std::vector<double> pcts =
         smoke ? std::vector<double>{0.4} : std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
-    util::Table b("CH failover + degraded channel: warm (checkpointed trust) vs cold handoff");
-    b.header({"% faulty", "no failover", "warm handoff", "cold handoff"});
+    cells.clear();
     for (double p : pcts) {
         exp::Scenario s = fb;
         s.binary.pct_faulty = p;
-        std::vector<double> row{100.0 * p};
-        row.push_back(exp::mean_accuracy(s, runs));  // no campaign
+        cells.push_back(s);  // no campaign
         for (bool warm : {true, false}) {
             exp::Scenario f = s;
             f.campaign = failover_campaign(kill_at, warm, degrade);
-            row.push_back(exp::mean_accuracy(f, runs));
+            cells.push_back(f);
         }
+    }
+    const std::vector<double> failover_acc = exp::mean_accuracies(cells, runs);
+    util::Table b("CH failover + degraded channel: warm (checkpointed trust) vs cold handoff");
+    b.header({"% faulty", "no failover", "warm handoff", "cold handoff"});
+    cell = failover_acc.begin();
+    for (double p : pcts) {
+        std::vector<double> row{100.0 * p};
+        for (int c = 0; c < 3; ++c) row.push_back(*cell++);
         b.row_values(row, 3);
     }
     io.emit(b);

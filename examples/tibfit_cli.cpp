@@ -20,7 +20,6 @@
 // concurrency) and the printed mean is bit-identical at any value (see
 // docs/PARALLELISM.md).
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <stdexcept>
@@ -59,6 +58,15 @@ void print_keys() {
         "flags:    --metrics <path> (metrics summary)  --trace <path> (JSONL trace)\n"
         "          --jobs <n> (threads for runs>1 sweeps; env TIBFIT_JOBS;\n"
         "          results are identical at any value)\n");
+}
+
+void apply_jobs(std::string_view value) {
+    if (const auto n = par::parse_jobs(value)) {
+        par::set_jobs(*n);
+        return;
+    }
+    std::fprintf(stderr, "tibfit_cli: ignoring invalid --jobs value '%.*s'\n",
+                 static_cast<int>(value.size()), value.data());
 }
 
 core::DecisionPolicy parse_policy(const std::string& s) {
@@ -198,11 +206,9 @@ int main(int argc, char** argv) {
         } else if (a.rfind("--trace=", 0) == 0) {
             trace_path = a.substr(std::string_view("--trace=").size());
         } else if (a == "--jobs" && i + 1 < argc) {
-            const long n = std::atol(argv[++i]);
-            if (n > 0) tibfit::par::set_jobs(static_cast<std::size_t>(n));
+            apply_jobs(argv[++i]);
         } else if (a.rfind("--jobs=", 0) == 0) {
-            const long n = std::atol(std::string(a.substr(std::string_view("--jobs=").size())).c_str());
-            if (n > 0) tibfit::par::set_jobs(static_cast<std::size_t>(n));
+            apply_jobs(a.substr(std::string_view("--jobs=").size()));
         } else if (a == "--metrics" || a == "--trace" || a == "--jobs") {
             std::fprintf(stderr, "%s requires an argument\n", argv[i]);
             return 2;

@@ -7,6 +7,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
@@ -18,14 +19,10 @@ namespace tibfit::exp {
 
 namespace {
 
-void apply_jobs(const std::string& value, const std::string& bench) {
-    try {
-        const long n = std::stol(value);
-        if (n > 0) {
-            par::set_jobs(static_cast<std::size_t>(n));
-            return;
-        }
-    } catch (...) {
+void apply_jobs(std::string_view value, const std::string& bench) {
+    if (const auto n = par::parse_jobs(value)) {
+        par::set_jobs(*n);
+        return;
     }
     std::cerr << bench << ": ignoring invalid --jobs value '" << value << "'\n";
 }
@@ -45,7 +42,7 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
             continue;
         }
         if (arg.rfind("--jobs=", 0) == 0) {
-            apply_jobs(std::string(arg.substr(std::strlen("--jobs="))), name_);
+            apply_jobs(arg.substr(std::strlen("--jobs=")), name_);
             continue;
         }
         // --help short-circuits the run before finish(), so it never

@@ -14,98 +14,120 @@ namespace tibfit::exp {
 
 namespace {
 
-// Fans the `runs` seeded replications of `run(scenario)` out across the
-// process-wide par::jobs() threads and returns the per-trial results in
-// trial order. Trial r is a pure function of (scenario, r): it draws the
-// seed util::derive_trial_seed(scenario.seed, r) and, when the caller
-// attached a recorder, gets a private one whose registry/trace are merged
-// back in trial order afterwards — so the aggregate is bit-identical
-// regardless of the thread count (docs/PARALLELISM.md).
+// Fans every (cell, trial) pair out as one flat task list across the
+// process-wide par::jobs() threads and returns the per-trial results with
+// flat index i = k * runs + r for trial r of cell k. Trial (k, r) is a pure
+// function of (cells[k], r): it draws the seed
+// util::derive_trial_seed(cells[k].seed, r) and, when cell k has a
+// recorder, gets a private one. Afterwards the private recorders merge
+// into their cell's recorder in flat-index order — the order a per-cell
+// loop would produce — so the aggregate is bit-identical regardless of the
+// thread count (docs/PARALLELISM.md).
 template <typename Run>
-auto run_replications(const Scenario& scenario, std::size_t runs, Run run)
-    -> std::vector<decltype(run(scenario))> {
-    std::vector<decltype(run(scenario))> results(runs);
-    obs::Recorder* parent = scenario.recorder;
-    std::vector<std::unique_ptr<obs::Recorder>> recorders(parent ? runs : 0);
-    par::run_trials(runs, [&](std::size_t r) {
-        Scenario c = scenario;
-        c.seed = util::derive_trial_seed(scenario.seed, r);
-        if (parent) {
-            recorders[r] = std::make_unique<obs::Recorder>();
-            recorders[r]->trace().set_enabled(parent->trace().enabled());
-            c.recorder = recorders[r].get();
+auto run_replications(std::span<const Scenario> cells, std::size_t runs, Run run)
+    -> std::vector<decltype(run(cells.front()))> {
+    const std::size_t n = cells.size() * runs;
+    std::vector<decltype(run(cells.front()))> results(n);
+    std::vector<std::unique_ptr<obs::Recorder>> recorders(n);
+    par::run_trials(n, [&](std::size_t i) {
+        const Scenario& cell = cells[i / runs];
+        Scenario c = cell;
+        c.seed = util::derive_trial_seed(cell.seed, i % runs);
+        if (cell.recorder) {
+            recorders[i] = std::make_unique<obs::Recorder>();
+            recorders[i]->trace().set_enabled(cell.recorder->trace().enabled());
+            c.recorder = recorders[i].get();
         }
-        results[r] = run(c);
+        results[i] = run(c);
     });
-    if (parent) {
-        for (const auto& rec : recorders) {
-            parent->metrics().merge(rec->metrics());
-            parent->trace().append_all(rec->trace());
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!recorders[i]) continue;
+        obs::Recorder* parent = cells[i / runs].recorder;
+        parent->metrics().merge(recorders[i]->metrics());
+        parent->trace().append_all(recorders[i]->trace());
     }
     return results;
 }
 
 }  // namespace
 
-double mean_accuracy(Scenario scenario, std::size_t runs) {
-    const auto accuracies = run_replications(scenario, runs, [](const Scenario& s) {
+std::vector<double> mean_accuracies(std::span<const Scenario> cells, std::size_t runs) {
+    const auto accuracies = run_replications(cells, runs, [](const Scenario& s) {
         return s.kind == Scenario::Kind::Binary ? run_binary_experiment(s).accuracy
                                                 : run_location_experiment(s).accuracy;
     });
-    double sum = 0.0;
-    for (double a : accuracies) sum += a;
-    return runs ? sum / static_cast<double>(runs) : 0.0;
+    std::vector<double> means(cells.size(), 0.0);
+    if (runs == 0) return means;
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+        double sum = 0.0;
+        for (std::size_t r = 0; r < runs; ++r) sum += accuracies[k * runs + r];
+        means[k] = sum / static_cast<double>(runs);
+    }
+    return means;
+}
+
+std::vector<std::vector<double>> detail::mean_epoch_accuracies(
+    std::span<const Scenario> cells, std::size_t runs,
+    const std::function<std::vector<double>(const Scenario&)>& series) {
+    const auto all = run_replications(cells, runs, series);
+    std::vector<std::vector<double>> means(cells.size());
+    if (runs == 0) return means;
+
+    for (std::size_t k = 0; k < cells.size(); ++k) {
+        const std::span<const std::vector<double>> trials(all.data() + k * runs, runs);
+        std::size_t min_len = trials.front().size();
+        std::size_t max_len = min_len;
+        for (const auto& t : trials) {
+            min_len = std::min(min_len, t.size());
+            max_len = std::max(max_len, t.size());
+        }
+        if (min_len != max_len) {
+            // Identical scenarios normally produce identical epoch counts; a
+            // shorter series means a run aborted early. Truncating is still
+            // the only sound aggregation, but it must not happen silently —
+            // every curve downstream loses its tail.
+            std::size_t truncated = 0;
+            for (const auto& t : trials) truncated += t.size() < max_len ? 1 : 0;
+            util::log_warn() << "mean_epoch_accuracy: cell " << k << ": " << truncated << " of "
+                             << runs << " runs produced fewer epochs than the longest ("
+                             << min_len << " vs " << max_len << "); truncating every curve to "
+                             << min_len << " epochs";
+            if (obs::Recorder* rec = cells[k].recorder) {
+                rec->metrics().counter(obs::metric::kSweepTruncatedRuns).inc(truncated);
+            }
+        }
+
+        std::vector<double>& sum = means[k];
+        sum.assign(min_len, 0.0);
+        for (const auto& t : trials) {
+            for (std::size_t e = 0; e < min_len; ++e) sum[e] += t[e];
+        }
+        for (auto& s : sum) s /= static_cast<double>(runs);
+    }
+    return means;
+}
+
+std::vector<std::vector<double>> mean_epoch_accuracies(std::span<const Scenario> cells,
+                                                       std::size_t runs) {
+    return detail::mean_epoch_accuracies(cells, runs, [](const Scenario& s) {
+        return run_location_experiment(s).epoch_accuracy;
+    });
+}
+
+double mean_accuracy(Scenario scenario, std::size_t runs) {
+    return mean_accuracies({&scenario, 1}, runs).front();
 }
 
 std::vector<double> mean_epoch_accuracy(Scenario scenario, std::size_t runs) {
-    const auto results = run_replications(
-        scenario, runs, [](const Scenario& s) { return run_location_experiment(s); });
-    if (runs == 0) return {};
-
-    std::size_t min_len = results.front().epoch_accuracy.size();
-    std::size_t max_len = min_len;
-    for (const auto& r : results) {
-        min_len = std::min(min_len, r.epoch_accuracy.size());
-        max_len = std::max(max_len, r.epoch_accuracy.size());
-    }
-    if (min_len != max_len) {
-        // Identical scenarios normally produce identical epoch counts; a
-        // shorter series means a run aborted early. Truncating is still the
-        // only sound aggregation, but it must not happen silently — every
-        // curve downstream loses its tail.
-        std::size_t truncated = 0;
-        for (const auto& r : results) truncated += r.epoch_accuracy.size() < max_len ? 1 : 0;
-        util::log_warn() << "mean_epoch_accuracy: " << truncated << " of " << runs
-                         << " runs produced fewer epochs than the longest (" << min_len
-                         << " vs " << max_len << "); truncating every curve to " << min_len
-                         << " epochs";
-        if (scenario.recorder) {
-            scenario.recorder->metrics()
-                .counter(obs::metric::kSweepTruncatedRuns)
-                .inc(truncated);
-        }
-    }
-
-    std::vector<double> sum(min_len, 0.0);
-    for (const auto& r : results) {
-        for (std::size_t i = 0; i < min_len; ++i) sum[i] += r.epoch_accuracy[i];
-    }
-    for (auto& s : sum) s /= static_cast<double>(runs);
-    return sum;
+    return mean_epoch_accuracies({&scenario, 1}, runs).front();
 }
 
 std::vector<double> sweep(Scenario scenario, const std::vector<double>& xs,
                           const std::function<void(Scenario&, double)>& set,
                           std::size_t runs) {
-    std::vector<double> out;
-    out.reserve(xs.size());
-    for (double x : xs) {
-        Scenario s = scenario;
-        set(s, x);
-        out.push_back(mean_accuracy(s, runs));
-    }
-    return out;
+    std::vector<Scenario> cells(xs.size(), scenario);
+    for (std::size_t i = 0; i < xs.size(); ++i) set(cells[i], xs[i]);
+    return mean_accuracies(cells, runs);
 }
 
 }  // namespace tibfit::exp

@@ -1,8 +1,10 @@
 #include "par/jobs.h"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
-#include <string>
+#include <iostream>
+#include <mutex>
 #include <thread>
 
 namespace tibfit::par {
@@ -16,6 +18,16 @@ std::atomic<std::size_t> g_jobs{0};
 
 }  // namespace
 
+std::optional<std::size_t> parse_jobs(std::string_view text) {
+    std::size_t n = 0;
+    const char* end = text.data() + text.size();
+    // from_chars into an unsigned type takes no sign and no leading
+    // whitespace, and reports overflow instead of wrapping.
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    if (ec != std::errc() || ptr != end || n == 0) return std::nullopt;
+    return n;
+}
+
 std::size_t hardware_jobs() {
     const unsigned hc = std::thread::hardware_concurrency();
     return hc ? hc : 1;
@@ -23,12 +35,11 @@ std::size_t hardware_jobs() {
 
 std::size_t default_jobs() {
     if (const char* env = std::getenv("TIBFIT_JOBS")) {
-        try {
-            const long v = std::stol(env);
-            if (v > 0) return static_cast<std::size_t>(v);
-        } catch (...) {
-            // Unparseable TIBFIT_JOBS falls through to the hardware count.
-        }
+        if (const auto n = parse_jobs(env)) return *n;
+        static std::once_flag warned;
+        std::call_once(warned, [env] {
+            std::cerr << "tibfit: ignoring invalid TIBFIT_JOBS value '" << env << "'\n";
+        });
     }
     return hardware_jobs();
 }

@@ -8,13 +8,21 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <string_view>
 
 namespace tibfit::par {
+
+/// Parses a job count: the whole string must be a positive decimal that
+/// fits in std::size_t ("4" yes; "0", "-3", "4abc", " 4", "" and overflow
+/// no). Every `--jobs` flag and TIBFIT_JOBS go through this one parser.
+std::optional<std::size_t> parse_jobs(std::string_view text);
 
 /// std::thread::hardware_concurrency(), floored at 1.
 std::size_t hardware_jobs();
 
-/// TIBFIT_JOBS when set to a positive integer, else hardware_jobs().
+/// TIBFIT_JOBS when parse_jobs() accepts it, else hardware_jobs(). An
+/// invalid TIBFIT_JOBS is reported on stderr once per process.
 std::size_t default_jobs();
 
 /// The current process-wide job count (never 0).

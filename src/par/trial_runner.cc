@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <thread>
 #include <vector>
 
 #include "par/jobs.h"
-#include "par/thread_pool.h"
 
 namespace tibfit::par {
 
@@ -15,35 +15,26 @@ void run_trials(std::size_t n, const std::function<void(std::size_t)>& trial,
     if (n == 0) return;
     if (jobs == 0) jobs = par::jobs();
     std::vector<std::exception_ptr> errors(n);
-
-    const std::size_t workers = std::min(jobs, n);
-    if (workers <= 1) {
-        // Serial path: same capture-then-rethrow semantics as the pool, so
-        // -j1 matches -jN even when trials throw.
-        for (std::size_t i = 0; i < n; ++i) {
+    std::atomic<std::size_t> next{0};
+    const auto drain = [&] {
+        for (;;) {
+            const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+            if (i >= n) return;
             try {
                 trial(i);
             } catch (...) {
                 errors[i] = std::current_exception();
             }
         }
-    } else {
-        std::atomic<std::size_t> next{0};
-        ThreadPool pool(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.submit([&] {
-                for (;;) {
-                    const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                    if (i >= n) return;
-                    try {
-                        trial(i);
-                    } catch (...) {
-                        errors[i] = std::current_exception();
-                    }
-                }
-            });
-        }
-        pool.wait();
+    };
+    {
+        // Joining the helpers (jthread destructors) publishes their result
+        // slots and captured exceptions to this thread.
+        const std::size_t threads = std::min(jobs, n);
+        std::vector<std::jthread> helpers;
+        helpers.reserve(threads - 1);
+        for (std::size_t h = 1; h < threads; ++h) helpers.emplace_back(drain);
+        drain();
     }
 
     for (const auto& e : errors) {

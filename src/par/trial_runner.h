@@ -1,8 +1,10 @@
 // Deterministic fan-out of independent seeded replications ("trials").
 //
-// run_trials(n, trial) executes trial(0) .. trial(n-1) exactly once each,
-// spread across min(jobs, n) pool threads. The contract that makes the
-// result independent of the thread count:
+// run_trials(n, trial) executes trial(0) .. trial(n-1) exactly once each.
+// The calling thread and min(jobs, n) - 1 helper threads drain one shared
+// atomic index, so jobs = 1 is simply the caller running every trial in
+// order. The contract that makes the result independent of the thread
+// count:
 //
 //   * each trial is a pure function of its index — it derives its own seed
 //     via util::derive_trial_seed(base, index) and writes its result into
@@ -21,9 +23,9 @@
 
 namespace tibfit::par {
 
-/// Runs trial(0..n-1) across `jobs` threads (0 = the process-wide
-/// par::jobs() setting). Returns after all n trials completed; rethrows
-/// the lowest-index captured exception, if any.
+/// Runs trial(0..n-1) on the calling thread plus up to `jobs` - 1 helper
+/// threads (0 = the process-wide par::jobs() setting). Returns after all n
+/// trials completed; rethrows the lowest-index captured exception, if any.
 void run_trials(std::size_t n, const std::function<void(std::size_t)>& trial,
                 std::size_t jobs = 0);
 

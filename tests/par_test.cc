@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <optional>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "par/jobs.h"
-#include "par/thread_pool.h"
 #include "par/trial_runner.h"
 #include "util/rng.h"
 
@@ -26,40 +31,114 @@ TEST(Jobs, SetAndReset) {
     EXPECT_EQ(jobs(), default_jobs());
 }
 
-TEST(ThreadPool, RunsEverySubmittedTask) {
-    ThreadPool pool(4);
-    std::atomic<int> sum{0};
-    for (int i = 1; i <= 100; ++i) {
-        pool.submit([&sum, i] { sum.fetch_add(i); });
+TEST(ParseJobs, AcceptsOnlyWholePositiveDecimals) {
+    const struct {
+        const char* text;
+        std::optional<std::size_t> want;
+    } cases[] = {
+        {"4", 4},
+        {"1", 1},
+        {"128", 128},
+        {"0", std::nullopt},
+        {"-3", std::nullopt},
+        {"4abc", std::nullopt},
+        {" 4", std::nullopt},
+        {"4 ", std::nullopt},
+        {"+4", std::nullopt},
+        {"", std::nullopt},
+        {"abc", std::nullopt},
+        {"99999999999999999999", std::nullopt},  // > 2^64: overflow, not wrap
+    };
+    for (const auto& c : cases) {
+        EXPECT_EQ(parse_jobs(c.text), c.want) << "'" << c.text << "'";
     }
-    pool.wait();
-    EXPECT_EQ(sum.load(), 5050);
 }
 
-TEST(ThreadPool, ZeroThreadsClampsToOne) {
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.thread_count(), 1u);
-    bool ran = false;
-    pool.submit([&] { ran = true; });
-    pool.wait();
-    EXPECT_TRUE(ran);
+TEST(RunTrials, OneJobRunsEveryTrialOnTheCallingThread) {
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(9);
+    std::vector<std::size_t> order;
+    run_trials(
+        9,
+        [&](std::size_t i) {
+            ran_on[i] = std::this_thread::get_id();
+            order.push_back(i);
+        },
+        1);
+    for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+    std::vector<std::size_t> want(9);
+    std::iota(want.begin(), want.end(), std::size_t{0});
+    EXPECT_EQ(order, want);
 }
 
-TEST(ThreadPool, WaitOnIdlePoolReturns) {
-    ThreadPool pool(2);
-    pool.wait();  // nothing submitted
-    pool.wait();  // and again
+// Holds a helper thread's trial until the calling thread has run one of
+// its own, so the caller's share of the index is never empty however fast
+// the helpers start. Bounded, so a scheduler bug fails instead of hanging.
+void wait_for_caller(const std::atomic<bool>& caller_ran) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!caller_ran.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+    }
 }
 
-TEST(ThreadPool, ReusableAfterWait) {
-    ThreadPool pool(2);
-    std::atomic<int> n{0};
-    pool.submit([&] { ++n; });
-    pool.wait();
-    pool.submit([&] { ++n; });
-    pool.submit([&] { ++n; });
-    pool.wait();
-    EXPECT_EQ(n.load(), 3);
+TEST(RunTrials, FourJobsUseAtMostFourThreadsIncludingTheCaller) {
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> caller_ran{false};
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    run_trials(
+        32,
+        [&](std::size_t) {
+            if (std::this_thread::get_id() == caller) {
+                caller_ran = true;
+            } else {
+                wait_for_caller(caller_ran);
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            ids.insert(std::this_thread::get_id());
+        },
+        4);
+    EXPECT_LE(ids.size(), 4u);
+    EXPECT_EQ(ids.count(caller), 1u);
+}
+
+TEST(RunTrials, ExceptionOnTheCallersShareIsRethrownInIndexOrder) {
+    for (std::size_t jobs : {1u, 4u}) {
+        const auto caller = std::this_thread::get_id();
+        std::atomic<bool> caller_ran{false};
+        std::mutex mu;
+        std::set<std::size_t> threw;
+        std::vector<std::atomic<int>> ran(16);
+        try {
+            run_trials(
+                16,
+                [&](std::size_t i) {
+                    ran[i].fetch_add(1);
+                    const bool on_caller = std::this_thread::get_id() == caller;
+                    if (on_caller) {
+                        caller_ran = true;
+                    } else {
+                        wait_for_caller(caller_ran);
+                    }
+                    // Every trial on the caller throws; helpers throw only at
+                    // the last index.
+                    if (on_caller || i == 15) {
+                        {
+                            std::lock_guard<std::mutex> lock(mu);
+                            threw.insert(i);
+                        }
+                        throw std::runtime_error(std::to_string(i));
+                    }
+                },
+                jobs);
+            FAIL() << "expected an exception";
+        } catch (const std::runtime_error& e) {
+            ASSERT_TRUE(caller_ran.load());
+            ASSERT_FALSE(threw.empty());
+            EXPECT_EQ(e.what(), std::to_string(*threw.begin())) << "jobs=" << jobs;
+        }
+        for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+    }
 }
 
 TEST(RunTrials, ZeroTrialsIsANoOp) {
