@@ -1,6 +1,7 @@
 #include "exp/bench_io.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -25,6 +26,20 @@ void apply_jobs(std::string_view value, const std::string& bench) {
         return;
     }
     std::cerr << bench << ": ignoring invalid --jobs value '" << value << "'\n";
+}
+
+/// get()'s value; when the user gave `key` a value of another type
+/// (util::Config throws std::out_of_range), says what it expects and exits 2.
+template <class Get>
+auto typed(const std::string& bench, const util::Config& params, const std::string& key,
+           const char* expects, Get get) {
+    try {
+        return get();
+    } catch (const std::out_of_range&) {
+        std::cerr << bench << ": invalid value '" << params.to_string(key) << "' for " << key
+                  << "= (expects " << expects << ")\n";
+        std::exit(2);
+    }
 }
 
 }  // namespace
@@ -68,7 +83,8 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
 }
 
 std::size_t BenchIo::trial_runs(std::size_t dflt) const {
-    const long n = params_.get_int("runs", static_cast<long>(dflt));
+    const long n = typed(name_, params_, "runs", "an integer",
+                         [&] { return params_.get_int("runs", static_cast<long>(dflt)); });
     return n > 0 ? static_cast<std::size_t>(n) : dflt;
 }
 
@@ -86,24 +102,25 @@ bool BenchIo::declared(const std::string& key) const {
 
 long BenchIo::option(const std::string& key, long dflt, const std::string& help) {
     declare(key, std::to_string(dflt), help);
-    return params_.get_int(key, dflt);
+    return typed(name_, params_, key, "an integer", [&] { return params_.get_int(key, dflt); });
 }
 
 double BenchIo::option(const std::string& key, double dflt, const std::string& help) {
     std::ostringstream rendered;
     rendered << dflt;
     declare(key, rendered.str(), help);
-    return params_.get_double(key, dflt);
+    return typed(name_, params_, key, "a number", [&] { return params_.get_double(key, dflt); });
 }
 
 bool BenchIo::option(const std::string& key, bool dflt, const std::string& help) {
     declare(key, dflt ? "true" : "false", help);
-    return params_.get_bool(key, dflt);
+    return typed(name_, params_, key, "true or false",
+                 [&] { return params_.get_bool(key, dflt); });
 }
 
 std::string BenchIo::option(const std::string& key, std::string dflt, const std::string& help) {
     declare(key, dflt, help);
-    return params_.get_string(key, dflt);
+    return params_.has(key) ? params_.to_string(key) : dflt;
 }
 
 void BenchIo::print_help(std::ostream& out) const {

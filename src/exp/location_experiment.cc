@@ -27,7 +27,6 @@ Scenario to_scenario(const LocationConfig& c) {
     s.engine.policy = c.policy;
     s.engine.r_error = c.r_error;
     s.engine.t_out = c.t_out;
-    s.engine.sensing_radius = c.sensing_radius;
     s.engine.trust.lambda = c.lambda;
     s.engine.trust.fault_rate = c.fault_rate;
     s.engine.trust.removal_ti = c.removal_ti;

@@ -1,7 +1,14 @@
 #include "exp/scenario.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "obs/json.h"
 
@@ -9,52 +16,216 @@ namespace tibfit::exp {
 
 namespace {
 
-const char* kind_name(Scenario::Kind k) {
-    return k == Scenario::Kind::Binary ? "binary" : "location";
-}
+// The JSON spellings of the enum fields.
+constexpr std::pair<Scenario::Kind, std::string_view> kKinds[] = {
+    {Scenario::Kind::Binary, "binary"}, {Scenario::Kind::Location, "location"}};
+constexpr std::pair<core::DecisionPolicy, std::string_view> kPolicies[] = {
+    {core::DecisionPolicy::TrustIndex, "trust_index"},
+    {core::DecisionPolicy::MajorityVote, "majority_vote"}};
+constexpr std::pair<sensor::NodeClass, std::string_view> kFaultLevels[] = {
+    {sensor::NodeClass::Correct, "correct"},
+    {sensor::NodeClass::Level0, "level0"},
+    {sensor::NodeClass::Level1, "level1"},
+    {sensor::NodeClass::Level2, "level2"}};
+const std::pair<check::Mode, std::string_view> kCheckModes[] = {
+    {check::Mode::Off, check::mode_name(check::Mode::Off)},
+    {check::Mode::Shadow, check::mode_name(check::Mode::Shadow)},
+    {check::Mode::Assert, check::mode_name(check::Mode::Assert)}};
 
-Scenario::Kind kind_from_name(const std::string& s) {
-    if (s == "binary") return Scenario::Kind::Binary;
-    if (s == "location") return Scenario::Kind::Location;
-    throw std::runtime_error("scenario: unknown kind '" + s + "'");
-}
+auto names(Scenario::Kind) { return std::span(kKinds); }
+auto names(core::DecisionPolicy) { return std::span(kPolicies); }
+auto names(sensor::NodeClass) { return std::span(kFaultLevels); }
+auto names(check::Mode) { return std::span(kCheckModes); }
 
-const char* policy_name(core::DecisionPolicy p) {
-    return p == core::DecisionPolicy::TrustIndex ? "trust_index" : "majority_vote";
-}
-
-core::DecisionPolicy policy_from_name(const std::string& s) {
-    if (s == "trust_index") return core::DecisionPolicy::TrustIndex;
-    if (s == "majority_vote") return core::DecisionPolicy::MajorityVote;
-    throw std::runtime_error("scenario: unknown policy '" + s + "'");
-}
-
-const char* fault_level_name(sensor::NodeClass c) {
-    switch (c) {
-        case sensor::NodeClass::Correct: return "correct";
-        case sensor::NodeClass::Level0: return "level0";
-        case sensor::NodeClass::Level1: return "level1";
-        case sensor::NodeClass::Level2: return "level2";
+template <class E>
+std::string_view name_of(E e) {
+    for (const auto& [value, name] : names(e)) {
+        if (value == e) return name;
     }
-    return "level0";
+    return {};
 }
 
-sensor::NodeClass fault_level_from_name(const std::string& s) {
-    if (s == "correct") return sensor::NodeClass::Correct;
-    if (s == "level0") return sensor::NodeClass::Level0;
-    if (s == "level1") return sensor::NodeClass::Level1;
-    if (s == "level2") return sensor::NodeClass::Level2;
-    throw std::runtime_error("scenario: unknown fault_level '" + s + "'");
+template <class E>
+bool parse_name(std::string_view text, E& out) {
+    for (const auto& [value, name] : names(out)) {
+        if (name == text) {
+            out = value;
+            return true;
+        }
+    }
+    return false;
+}
+
+// ---- The field list ----
+
+/// Scenario's serialized fields in JSON write order: `f(path, field)` once
+/// per field, the path dotted by JSON object nesting. `kind` (which picks
+/// the defaults) and `campaign` (which has its own JSON codec) are listed
+/// as themselves; every consumer treats those two specially.
+template <class S, class F>
+void for_each_field(S& s, F&& f) {
+    f("kind", s.kind);
+    f("seed", s.seed);
+    f("engine.policy", s.engine.policy);
+    f("engine.r_error", s.engine.r_error);
+    f("engine.t_out", s.engine.t_out);
+    f("engine.trust.lambda", s.engine.trust.lambda);
+    f("engine.trust.fault_rate", s.engine.trust.fault_rate);
+    f("engine.trust.removal_ti", s.engine.trust.removal_ti);
+    f("engine.collusion_defense", s.engine.collusion_defense);
+    f("engine.collusion.epsilon", s.engine.collusion.epsilon);
+    f("engine.collusion.min_clique", s.engine.collusion.min_clique);
+    f("engine.collusion.conviction_count", s.engine.collusion.conviction_count);
+    f("engine.trust_weighted_location", s.engine.trust_weighted_location);
+    f("channel.drop_probability", s.channel.drop_probability);
+    f("channel.base_latency", s.channel.base_latency);
+    f("channel.propagation_speed", s.channel.propagation_speed);
+    f("channel.airtime", s.channel.airtime);
+    f("transport.ack_timeout", s.transport.ack_timeout);
+    f("transport.max_retries", s.transport.max_retries);
+    f("transport.ttl", s.transport.ttl);
+    f("check.mode", s.check.mode);
+    f("deployment.field", s.deployment.field);
+    f("deployment.sensing_radius", s.deployment.sensing_radius);
+    f("faults.natural_error_rate", s.faults.natural_error_rate);
+    f("faults.correct_sigma", s.faults.correct_sigma);
+    f("faults.missed_alarm_rate", s.faults.missed_alarm_rate);
+    f("faults.false_alarm_rate", s.faults.false_alarm_rate);
+    f("faults.faulty_sigma", s.faults.faulty_sigma);
+    f("faults.faulty_drop_rate", s.faults.faulty_drop_rate);
+    f("faults.lower_ti", s.faults.lower_ti);
+    f("faults.upper_ti", s.faults.upper_ti);
+    f("faults.collusion_jitter", s.faults.collusion_jitter);
+    f("mobility.speed_min", s.mobility.speed_min);
+    f("mobility.speed_max", s.mobility.speed_max);
+    f("mobility.pause", s.mobility.pause);
+    f("mobility.tick", s.mobility.tick);
+    f("campaign", s.campaign);
+    f("binary.n_nodes", s.binary.n_nodes);
+    f("binary.pct_faulty", s.binary.pct_faulty);
+    f("binary.false_alarm_spread_touts", s.binary.false_alarm_spread_touts);
+    f("binary.events", s.binary.events);
+    f("binary.event_interval", s.binary.event_interval);
+    f("binary.use_shadows", s.binary.use_shadows);
+    f("binary.corrupt_ch", s.binary.corrupt_ch);
+    f("binary.reliable_reports", s.binary.reliable_reports);
+    f("location.n_nodes", s.location.n_nodes);
+    f("location.grid_layout", s.location.grid_layout);
+    f("location.pct_faulty", s.location.pct_faulty);
+    f("location.fault_level", s.location.fault_level);
+    f("location.multihop", s.location.multihop);
+    f("location.radio_range", s.location.radio_range);
+    f("location.mobile", s.location.mobile);
+    f("location.n_ch", s.location.n_ch);
+    f("location.rotation_period", s.location.rotation_period);
+    f("location.events", s.location.events);
+    f("location.event_interval", s.location.event_interval);
+    f("location.burst", s.location.burst);
+    f("location.tx_jitter", s.location.tx_jitter);
+    f("location.decay", s.location.decay);
+    f("location.decay_initial", s.location.decay_initial);
+    f("location.decay_step", s.location.decay_step);
+    f("location.decay_final", s.location.decay_final);
+    f("location.decay_epoch_events", s.location.decay_epoch_events);
+    f("location.epoch_events", s.location.epoch_events);
+}
+
+// ---- Field kinds ----
+
+template <class T>
+constexpr bool kIsCount = std::is_integral_v<T> && !std::is_same_v<T, bool>;
+
+/// kind and campaign: listed, but not settable by key=value.
+template <class T>
+constexpr bool kIsSpecial =
+    std::is_same_v<T, Scenario::Kind> || std::is_same_v<T, inject::CampaignSpec>;
+
+template <class T>
+using Field = std::remove_cvref_t<T>;
+
+/// An integer field's largest value: its type's maximum, capped at 2^53
+/// (the largest integer a JSON number carries exactly) so that every
+/// value key=value can set also round-trips through JSON.
+template <class T>
+constexpr std::uint64_t kCountMax =
+    std::min<std::uint64_t>(std::numeric_limits<T>::max(), std::uint64_t{1} << 53);
+
+template <class T>
+std::string expects(const T& field) {
+    if constexpr (std::is_same_v<T, double>) {
+        return "a finite number";
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return "true or false";
+    } else if constexpr (kIsCount<T>) {
+        return "an integer in [0, " + std::to_string(kCountMax<T>) + "]";
+    } else {
+        std::string out;
+        for (const auto& [value, name] : names(field)) {
+            out += out.empty() ? "one of " : "|";
+            out += name;
+        }
+        return out;
+    }
+}
+
+/// Whole-string text parse in the field's type; false leaves `out` as is.
+template <class T>
+bool parse_text(std::string_view text, T& out) {
+    const char* end = text.data() + text.size();
+    if constexpr (std::is_same_v<T, double>) {
+        double v = 0.0;
+        const auto [p, ec] = std::from_chars(text.data(), end, v);
+        if (ec != std::errc{} || p != end || !std::isfinite(v)) return false;
+        out = v;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (text != "true" && text != "false") return false;
+        out = text == "true";
+    } else if constexpr (kIsCount<T>) {
+        std::uint64_t v = 0;  // unsigned: from_chars rejects a sign
+        const auto [p, ec] = std::from_chars(text.data(), end, v);
+        if (ec != std::errc{} || p != end || v > kCountMax<T>) return false;
+        out = static_cast<T>(v);
+    } else {
+        return parse_name(text, out);
+    }
+    return true;
+}
+
+/// A JSON scalar as parse_text() input, so both inputs share one set of
+/// rules: numbers in exact fixed notation (integer fields see whole
+/// digits), strings only for enum fields; other values yield text no
+/// field type accepts.
+std::string json_text(const obs::json::Value& v, bool enum_field) {
+    if (v.is_string()) return enum_field ? v.as_string() : "";
+    if (v.is_bool()) return v.as_bool() ? "true" : "false";
+    if (!v.is_number()) return "";
+    char buf[400];  // any double in fixed notation: at most 327 chars
+    return {buf, std::to_chars(buf, buf + sizeof buf, v.as_number(), std::chars_format::fixed).ptr};
+}
+
+/// Text form of a field value, as parse_text() accepts it.
+template <class T>
+std::string render(const T& field) {
+    if constexpr (std::is_same_v<T, double>) {
+        return obs::json::number_to_string(field);
+    } else if constexpr (std::is_same_v<T, bool>) {
+        return field ? "true" : "false";
+    } else if constexpr (kIsCount<T>) {
+        return std::to_string(field);
+    } else {
+        return std::string(name_of(field));
+    }
+}
+
+/// Whether the scenario's kind reads the field at `path`.
+bool kind_reads(Scenario::Kind kind, std::string_view path) {
+    return !path.starts_with(kind == Scenario::Kind::Binary ? "location." : "binary.");
 }
 
 void check_unit(std::vector<std::string>& errors, const char* what, double p) {
     if (p < 0.0 || p > 1.0) {
         errors.push_back(std::string("scenario: ") + what + " outside [0, 1]");
     }
-}
-
-std::size_t size_or(const obs::json::Value& v, const char* key, std::size_t dflt) {
-    return static_cast<std::size_t>(v.number_or(key, static_cast<double>(dflt)));
 }
 
 }  // namespace
@@ -84,15 +255,6 @@ core::TrustParams Scenario::effective_trust() const {
     core::TrustParams t = engine.trust;
     if (kind == Kind::Binary && t.fault_rate < 0.0) t.fault_rate = faults.natural_error_rate;
     return t;
-}
-
-cluster::DeploymentConfig Scenario::deployment_config() const {
-    cluster::DeploymentConfig d = deployment;
-    d.engine = engine;
-    d.engine.trust = effective_trust();
-    d.engine.sensing_radius = d.sensing_radius;
-    d.channel_drop = channel.drop_probability;
-    return d;
 }
 
 std::vector<std::string> Scenario::validate() const {
@@ -193,212 +355,61 @@ std::vector<std::string> Scenario::validate() const {
 }
 
 void write_json(const Scenario& s, obs::json::Writer& w) {
+    std::string_view open;  // path prefix of the open objects, e.g. "engine.trust."
+    const auto close = [&] {
+        w.end_object();
+        open = open.substr(0, open.rfind('.', open.size() - 2) + 1);  // npos + 1 == 0
+    };
     w.begin_object();
-    w.field("kind", kind_name(s.kind));
-    w.field("seed", static_cast<std::uint64_t>(s.seed));
-
-    w.key("engine");
-    w.begin_object();
-    w.field("policy", policy_name(s.engine.policy));
-    w.field("sensing_radius", s.engine.sensing_radius);
-    w.field("r_error", s.engine.r_error);
-    w.field("t_out", s.engine.t_out);
-    w.key("trust");
-    w.begin_object();
-    w.field("lambda", s.engine.trust.lambda);
-    w.field("fault_rate", s.engine.trust.fault_rate);
-    w.field("removal_ti", s.engine.trust.removal_ti);
-    w.end_object();
-    w.field("collusion_defense", s.engine.collusion_defense);
-    w.field("trust_weighted_location", s.engine.trust_weighted_location);
-    w.end_object();
-
-    w.key("channel");
-    w.begin_object();
-    w.field("drop_probability", s.channel.drop_probability);
-    w.field("base_latency", s.channel.base_latency);
-    w.field("propagation_speed", s.channel.propagation_speed);
-    w.field("airtime", s.channel.airtime);
-    w.end_object();
-
-    w.key("transport");
-    w.begin_object();
-    w.field("ack_timeout", s.transport.ack_timeout);
-    w.field("max_retries", static_cast<std::uint64_t>(s.transport.max_retries));
-    w.field("ttl", static_cast<std::uint64_t>(s.transport.ttl));
-    w.end_object();
-
-    w.key("check");
-    w.begin_object();
-    w.field("mode", check::mode_name(s.check.mode));
-    w.end_object();
-
-    // LEACH/energy knobs of DeploymentConfig are not yet serialized; the
-    // experiment runners consume only the geometry.
-    w.key("deployment");
-    w.begin_object();
-    w.field("field", s.deployment.field);
-    w.field("sensing_radius", s.deployment.sensing_radius);
-    w.end_object();
-
-    w.key("faults");
-    w.begin_object();
-    w.field("natural_error_rate", s.faults.natural_error_rate);
-    w.field("correct_sigma", s.faults.correct_sigma);
-    w.field("missed_alarm_rate", s.faults.missed_alarm_rate);
-    w.field("false_alarm_rate", s.faults.false_alarm_rate);
-    w.field("faulty_sigma", s.faults.faulty_sigma);
-    w.field("faulty_drop_rate", s.faults.faulty_drop_rate);
-    w.field("lower_ti", s.faults.lower_ti);
-    w.field("upper_ti", s.faults.upper_ti);
-    w.field("collusion_jitter", s.faults.collusion_jitter);
-    w.end_object();
-
-    w.key("mobility");
-    w.begin_object();
-    w.field("speed_min", s.mobility.speed_min);
-    w.field("speed_max", s.mobility.speed_max);
-    w.field("pause", s.mobility.pause);
-    w.field("tick", s.mobility.tick);
-    w.end_object();
-
-    w.key("campaign");
-    inject::write_json(s.campaign, w);
-
-    w.key("binary");
-    w.begin_object();
-    w.field("n_nodes", static_cast<std::uint64_t>(s.binary.n_nodes));
-    w.field("pct_faulty", s.binary.pct_faulty);
-    w.field("false_alarm_spread_touts", s.binary.false_alarm_spread_touts);
-    w.field("events", static_cast<std::uint64_t>(s.binary.events));
-    w.field("event_interval", s.binary.event_interval);
-    w.field("use_shadows", s.binary.use_shadows);
-    w.field("corrupt_ch", s.binary.corrupt_ch);
-    w.field("reliable_reports", s.binary.reliable_reports);
-    w.end_object();
-
-    w.key("location");
-    w.begin_object();
-    w.field("n_nodes", static_cast<std::uint64_t>(s.location.n_nodes));
-    w.field("grid_layout", s.location.grid_layout);
-    w.field("pct_faulty", s.location.pct_faulty);
-    w.field("fault_level", fault_level_name(s.location.fault_level));
-    w.field("multihop", s.location.multihop);
-    w.field("radio_range", s.location.radio_range);
-    w.field("mobile", s.location.mobile);
-    w.field("n_ch", static_cast<std::uint64_t>(s.location.n_ch));
-    w.field("rotation_period", static_cast<std::uint64_t>(s.location.rotation_period));
-    w.field("events", static_cast<std::uint64_t>(s.location.events));
-    w.field("event_interval", s.location.event_interval);
-    w.field("burst", static_cast<std::uint64_t>(s.location.burst));
-    w.field("tx_jitter", s.location.tx_jitter);
-    w.field("decay", s.location.decay);
-    w.field("decay_initial", s.location.decay_initial);
-    w.field("decay_step", s.location.decay_step);
-    w.field("decay_final", s.location.decay_final);
-    w.field("decay_epoch_events", static_cast<std::uint64_t>(s.location.decay_epoch_events));
-    w.field("epoch_events", static_cast<std::uint64_t>(s.location.epoch_events));
-    w.end_object();
-
+    for_each_field(s, [&](std::string_view path, const auto& field) {
+        // The list keeps each object's fields together: close objects until
+        // `open` prefixes the path, then open the ones the path adds.
+        while (!path.starts_with(open)) close();
+        for (auto dot = path.find('.', open.size()); dot != path.npos;
+             dot = path.find('.', open.size())) {
+            w.key(path.substr(open.size(), dot - open.size()));
+            w.begin_object();
+            open = path.substr(0, dot + 1);
+        }
+        path.remove_prefix(open.size());
+        using T = Field<decltype(field)>;
+        if constexpr (std::is_same_v<T, inject::CampaignSpec>) {
+            w.key(path);
+            inject::write_json(field, w);
+        } else if constexpr (kIsCount<T>) {
+            w.field(path, static_cast<std::uint64_t>(field));
+        } else if constexpr (std::is_same_v<T, double> || std::is_same_v<T, bool>) {
+            w.field(path, field);
+        } else {
+            w.field(path, name_of(field));
+        }
+    });
+    while (!open.empty()) close();
     w.end_object();
 }
 
 Scenario scenario_from_json(const obs::json::Value& v) {
     if (!v.is_object()) throw std::runtime_error("scenario: JSON root must be an object");
-    const auto kind = kind_from_name(v.string_or("kind", "binary"));
+    auto kind = Scenario::Kind::Binary;
+    if (const auto* k = v.find("kind"); k && !parse_text(json_text(*k, true), kind)) {
+        throw std::runtime_error("scenario: kind expects " + expects(kind));
+    }
     Scenario s = kind == Scenario::Kind::Binary ? Scenario::binary_defaults()
                                                 : Scenario::location_defaults();
-    s.seed = static_cast<std::uint64_t>(v.number_or("seed", static_cast<double>(s.seed)));
-
-    if (const auto* e = v.find("engine")) {
-        s.engine.policy = policy_from_name(e->string_or("policy", policy_name(s.engine.policy)));
-        s.engine.sensing_radius = e->number_or("sensing_radius", s.engine.sensing_radius);
-        s.engine.r_error = e->number_or("r_error", s.engine.r_error);
-        s.engine.t_out = e->number_or("t_out", s.engine.t_out);
-        if (const auto* t = e->find("trust")) {
-            s.engine.trust.lambda = t->number_or("lambda", s.engine.trust.lambda);
-            s.engine.trust.fault_rate = t->number_or("fault_rate", s.engine.trust.fault_rate);
-            s.engine.trust.removal_ti = t->number_or("removal_ti", s.engine.trust.removal_ti);
+    for_each_field(s, [&](std::string_view path, auto& field) {
+        const obs::json::Value* j = &v;
+        for (std::size_t from = 0, dot = 0; j && dot != path.npos; from = dot + 1) {
+            dot = path.find('.', from);
+            j = j->find(std::string(path.substr(from, dot - from)));
         }
-        s.engine.collusion_defense = e->bool_or("collusion_defense", s.engine.collusion_defense);
-        s.engine.trust_weighted_location =
-            e->bool_or("trust_weighted_location", s.engine.trust_weighted_location);
-    }
-    if (const auto* c = v.find("channel")) {
-        s.channel.drop_probability = c->number_or("drop_probability", s.channel.drop_probability);
-        s.channel.base_latency = c->number_or("base_latency", s.channel.base_latency);
-        s.channel.propagation_speed =
-            c->number_or("propagation_speed", s.channel.propagation_speed);
-        s.channel.airtime = c->number_or("airtime", s.channel.airtime);
-    }
-    if (const auto* t = v.find("transport")) {
-        s.transport.ack_timeout = t->number_or("ack_timeout", s.transport.ack_timeout);
-        s.transport.max_retries =
-            static_cast<std::uint32_t>(size_or(*t, "max_retries", s.transport.max_retries));
-        s.transport.ttl = static_cast<std::uint8_t>(size_or(*t, "ttl", s.transport.ttl));
-    }
-    if (const auto* c = v.find("check")) {
-        s.check.mode = check::mode_from_name(c->string_or("mode", check::mode_name(s.check.mode)));
-    }
-    if (const auto* d = v.find("deployment")) {
-        s.deployment.field = d->number_or("field", s.deployment.field);
-        s.deployment.sensing_radius =
-            d->number_or("sensing_radius", s.deployment.sensing_radius);
-    }
-    if (const auto* f = v.find("faults")) {
-        s.faults.natural_error_rate =
-            f->number_or("natural_error_rate", s.faults.natural_error_rate);
-        s.faults.correct_sigma = f->number_or("correct_sigma", s.faults.correct_sigma);
-        s.faults.missed_alarm_rate =
-            f->number_or("missed_alarm_rate", s.faults.missed_alarm_rate);
-        s.faults.false_alarm_rate = f->number_or("false_alarm_rate", s.faults.false_alarm_rate);
-        s.faults.faulty_sigma = f->number_or("faulty_sigma", s.faults.faulty_sigma);
-        s.faults.faulty_drop_rate = f->number_or("faulty_drop_rate", s.faults.faulty_drop_rate);
-        s.faults.lower_ti = f->number_or("lower_ti", s.faults.lower_ti);
-        s.faults.upper_ti = f->number_or("upper_ti", s.faults.upper_ti);
-        s.faults.collusion_jitter = f->number_or("collusion_jitter", s.faults.collusion_jitter);
-    }
-    if (const auto* m = v.find("mobility")) {
-        s.mobility.speed_min = m->number_or("speed_min", s.mobility.speed_min);
-        s.mobility.speed_max = m->number_or("speed_max", s.mobility.speed_max);
-        s.mobility.pause = m->number_or("pause", s.mobility.pause);
-        s.mobility.tick = m->number_or("tick", s.mobility.tick);
-    }
-    if (const auto* c = v.find("campaign")) s.campaign = inject::campaign_from_json(*c);
-    if (const auto* b = v.find("binary")) {
-        s.binary.n_nodes = size_or(*b, "n_nodes", s.binary.n_nodes);
-        s.binary.pct_faulty = b->number_or("pct_faulty", s.binary.pct_faulty);
-        s.binary.false_alarm_spread_touts =
-            b->number_or("false_alarm_spread_touts", s.binary.false_alarm_spread_touts);
-        s.binary.events = size_or(*b, "events", s.binary.events);
-        s.binary.event_interval = b->number_or("event_interval", s.binary.event_interval);
-        s.binary.use_shadows = b->bool_or("use_shadows", s.binary.use_shadows);
-        s.binary.corrupt_ch = b->bool_or("corrupt_ch", s.binary.corrupt_ch);
-        s.binary.reliable_reports = b->bool_or("reliable_reports", s.binary.reliable_reports);
-    }
-    if (const auto* l = v.find("location")) {
-        s.location.n_nodes = size_or(*l, "n_nodes", s.location.n_nodes);
-        s.location.grid_layout = l->bool_or("grid_layout", s.location.grid_layout);
-        s.location.pct_faulty = l->number_or("pct_faulty", s.location.pct_faulty);
-        s.location.fault_level = fault_level_from_name(
-            l->string_or("fault_level", fault_level_name(s.location.fault_level)));
-        s.location.multihop = l->bool_or("multihop", s.location.multihop);
-        s.location.radio_range = l->number_or("radio_range", s.location.radio_range);
-        s.location.mobile = l->bool_or("mobile", s.location.mobile);
-        s.location.n_ch = size_or(*l, "n_ch", s.location.n_ch);
-        s.location.rotation_period = size_or(*l, "rotation_period", s.location.rotation_period);
-        s.location.events = size_or(*l, "events", s.location.events);
-        s.location.event_interval = l->number_or("event_interval", s.location.event_interval);
-        s.location.burst = size_or(*l, "burst", s.location.burst);
-        s.location.tx_jitter = l->number_or("tx_jitter", s.location.tx_jitter);
-        s.location.decay = l->bool_or("decay", s.location.decay);
-        s.location.decay_initial = l->number_or("decay_initial", s.location.decay_initial);
-        s.location.decay_step = l->number_or("decay_step", s.location.decay_step);
-        s.location.decay_final = l->number_or("decay_final", s.location.decay_final);
-        s.location.decay_epoch_events =
-            size_or(*l, "decay_epoch_events", s.location.decay_epoch_events);
-        s.location.epoch_events = size_or(*l, "epoch_events", s.location.epoch_events);
-    }
+        if (!j) return;
+        if constexpr (std::is_same_v<Field<decltype(field)>, inject::CampaignSpec>) {
+            field = inject::campaign_from_json(*j);
+        } else if (!parse_text(json_text(*j, std::is_enum_v<Field<decltype(field)>>), field)) {
+            throw std::runtime_error("scenario: " + std::string(path) + " expects " +
+                                     expects(field));
+        }
+    });
     return s;
 }
 
@@ -411,6 +422,40 @@ std::string to_json(const Scenario& scenario) {
 
 Scenario scenario_from_json_text(const std::string& text) {
     return scenario_from_json(obs::json::parse(text));
+}
+
+std::string_view apply_override(Scenario& s, std::string_view key, std::string_view value) {
+    // Leaves are unique within each kind's sections (scenario_test checks
+    // the list), so at most one field matches.
+    const bool dotted = key.find('.') != std::string_view::npos;
+    std::string_view target;
+    for_each_field(s, [&](std::string_view path, auto& field) {
+        const std::string_view leaf = path.substr(path.rfind('.') + 1);  // npos + 1 == 0
+        if (dotted ? path != key : leaf != key || !kind_reads(s.kind, path)) return;
+        target = path;
+        if constexpr (kIsSpecial<Field<decltype(field)>>) {
+            throw std::invalid_argument("scenario: '" + std::string(path) +
+                                        "' cannot be set by key=value");
+        } else if (!parse_text(value, field)) {
+            throw std::invalid_argument("scenario: " + std::string(path) + " expects " +
+                                        expects(field) + ", got '" + std::string(value) + "'");
+        }
+    });
+    if (target.empty()) {
+        throw std::invalid_argument("scenario: unknown key '" + std::string(key) + "' for a " +
+                                    std::string(name_of(s.kind)) + " scenario");
+    }
+    return target;
+}
+
+std::vector<std::string> override_tokens(const Scenario& s) {
+    std::vector<std::string> out;
+    for_each_field(s, [&](std::string_view path, const auto& field) {
+        if constexpr (!kIsSpecial<Field<decltype(field)>>) {
+            if (kind_reads(s.kind, path)) out.push_back(std::string(path) + "=" + render(field));
+        }
+    });
+    return out;
 }
 
 }  // namespace tibfit::exp

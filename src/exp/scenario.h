@@ -2,19 +2,20 @@
 //
 // Scenario owns the layer structs themselves — core::EngineConfig (with
 // TrustParams), net::ChannelParams/TransportParams,
-// cluster::DeploymentConfig, sensor::FaultParams/MobilityParams,
-// inject::CampaignSpec — plus the two small workload blocks that are
-// genuinely experiment-shaped. One seed, one validate(), one JSON
-// round-trip. See docs/OBSERVABILITY.md (artifact schema) and
-// docs/FAULT_INJECTION.md (campaign wiring).
+// sensor::FaultParams/MobilityParams, inject::CampaignSpec — plus the
+// field geometry and the two experiment-shaped workload blocks. One seed,
+// one validate(), one field list behind JSON and key=value overrides. See
+// docs/OBSERVABILITY.md (artifact schema) and docs/FAULT_INJECTION.md
+// (campaign wiring).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/config.h"
-#include "cluster/deployment.h"
+#include "cluster/cluster_head.h"
 #include "core/decision_engine.h"
 #include "inject/campaign.h"
 #include "net/channel.h"
@@ -76,6 +77,12 @@ struct LocationWorkload {
     std::size_t epoch_events = 50;  ///< accuracy-vs-time series granularity
 };
 
+/// Field geometry every runner reads.
+struct DeploymentGeometry {
+    double field = 100.0;          ///< side of the square field
+    double sensing_radius = 20.0;  ///< r_s; overrides engine.sensing_radius
+};
+
 /// The complete description of one experiment run.
 struct Scenario {
     enum class Kind { Binary, Location };
@@ -83,18 +90,14 @@ struct Scenario {
     Kind kind = Kind::Binary;
     std::uint64_t seed = 1;
 
-    /// Protocol tunables: policy, t_out, r_error, sensing radius, trust
-    /// (lambda / f_r / removal_ti), collusion defense, weighted location.
-    /// For binary scenarios trust.fault_rate < 0 means "equal to the NER"
+    /// Protocol tunables: policy, t_out, r_error, trust (lambda / f_r /
+    /// removal_ti), collusion defense, weighted location. For binary
+    /// scenarios trust.fault_rate < 0 means "equal to the NER"
     /// (faults.natural_error_rate), matching Table 1.
     core::EngineConfig engine;
     net::ChannelParams channel;
     net::TransportParams transport;  ///< relay/ack tunables (reliable paths)
-    /// Field geometry plus the LEACH/energy knobs of self-organizing
-    /// deployments. The runners use field/sensing_radius directly; the
-    /// embedded engine/channel_drop copies are overridden by the members
-    /// above when a Deployment is materialised (deployment_config()).
-    cluster::DeploymentConfig deployment;
+    DeploymentGeometry deployment;
     sensor::FaultParams faults;
     sensor::MobilityParams mobility;
     inject::CampaignSpec campaign;
@@ -151,11 +154,6 @@ struct Scenario {
     /// "fault_rate tracks NER" sentinel.
     core::TrustParams effective_trust() const;
 
-    /// The DeploymentConfig a self-organizing run should materialise:
-    /// deployment with engine/channel_drop replaced by this scenario's
-    /// authoritative copies.
-    cluster::DeploymentConfig deployment_config() const;
-
     /// Structural consistency check; one message per defect, empty ==
     /// valid. Includes campaign.validate().
     std::vector<std::string> validate() const;
@@ -182,13 +180,24 @@ struct RunResult {
 /// keep_decisions) as one JSON object.
 void write_json(const Scenario& scenario, obs::json::Writer& w);
 
-/// Rebuilds a scenario from the write_json() shape; missing keys keep the
-/// kind's defaults. Throws std::runtime_error on a non-object or an
-/// unknown kind/policy/fault_level name.
+/// Rebuilds a scenario from the write_json() shape; missing and unknown
+/// keys keep the kind's defaults. Throws std::runtime_error naming the key
+/// on a non-object root or a value the field's type does not hold.
 Scenario scenario_from_json(const obs::json::Value& v);
 
 /// Convenience: full JSON text round-trip.
 std::string to_json(const Scenario& scenario);
 Scenario scenario_from_json_text(const std::string& text);
+
+/// Sets one serialized field, other than `kind` and `campaign`, from text
+/// parsed strictly in the field's type; returns its path. `key` is the
+/// dotted JSON path or the leaf name, which is unique among the sections
+/// the scenario's kind reads (binary skips location.*, location skips
+/// binary.*). Throws std::invalid_argument naming the key and the type.
+std::string_view apply_override(Scenario& scenario, std::string_view key, std::string_view value);
+
+/// One `path=value` token per field of the sections the scenario's kind
+/// reads, in JSON order, each setting its field to its current value.
+std::vector<std::string> override_tokens(const Scenario& scenario);
 
 }  // namespace tibfit::exp

@@ -59,10 +59,12 @@ TEST(InvariantTest, ScopeRestoresPreviousAction) {
 // check::Mode plumbing
 
 TEST(CheckConfigTest, ModeNamesRoundTrip) {
-    EXPECT_EQ(check::mode_from_name("off"), check::Mode::Off);
-    EXPECT_EQ(check::mode_from_name("shadow"), check::Mode::Shadow);
-    EXPECT_EQ(check::mode_from_name("assert"), check::Mode::Assert);
-    EXPECT_THROW(check::mode_from_name("verify"), std::runtime_error);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    for (const check::Mode m : {check::Mode::Off, check::Mode::Shadow, check::Mode::Assert}) {
+        exp::apply_override(s, "check.mode", check::mode_name(m));
+        EXPECT_EQ(s.check.mode, m);
+    }
+    EXPECT_THROW(exp::apply_override(s, "check.mode", "verify"), std::invalid_argument);
 }
 
 TEST(CheckConfigTest, ScenarioSerializesCheckMode) {

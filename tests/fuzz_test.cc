@@ -5,10 +5,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/concurrent_manager.h"
 #include "core/decision_engine.h"
+#include "exp/scenario.h"
 #include "net/channel.h"
 #include "net/transport.h"
 #include "util/rng.h"
@@ -173,6 +176,96 @@ TEST_P(EngineFuzz, NeverCrashesAndDrainsBuffer) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineFuzz, ::testing::Range<std::uint64_t>(1, 11));
+
+// ---------- Scenario knobs and scenario JSON (hostile input) ----------
+
+// Values that break some field type: signs, fractions, overflow, non-finite
+// spellings, empty text, junk suffixes, and names of the wrong enum.
+const char* const kHostileValues[] = {
+    "-3", "-0", "2.7", "1e400", "-1e400", "nan", "inf", "-inf", "", "256", "4294967296",
+    "18446744073709551616", "99999999999999999999999", "0x10", "+1", " 1", "1 ", "0.5abc",
+    "true", "false", "level2", "majority_vote", "shadow", "1e-320", "\xff", "9007199254740994"};
+
+template <class T, std::size_t N>
+const T& pick(util::Rng& rng, const T (&items)[N]) {
+    return items[rng.uniform_index(N)];
+}
+
+class ScenarioInputFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Every key=value token drawn from the field map's paths either applies or
+// throws std::invalid_argument; whatever applied survives the JSON round trip.
+TEST_P(ScenarioInputFuzz, KeyValueTokensApplyOrThrowInvalidArgument) {
+    util::Rng rng(GetParam());
+    for (exp::Scenario s : {exp::Scenario::binary_defaults(), exp::Scenario::location_defaults()}) {
+        const std::vector<std::string> tokens = exp::override_tokens(s);
+        std::size_t applied = 0;
+        for (int i = 0; i < 300; ++i) {
+            const std::string& token = tokens[rng.uniform_index(tokens.size())];
+            std::string key = token.substr(0, token.find('='));
+            switch (rng.uniform_index(5)) {
+                case 0: key = key.substr(key.rfind('.') + 1); break;  // bare leaf
+                case 1: key = key.substr(0, rng.uniform_index(key.size() + 1)); break;
+                case 2: key += pick(rng, kHostileValues); break;
+                default: break;
+            }
+            std::string value = token.substr(token.find('=') + 1);
+            switch (rng.uniform_index(3)) {
+                case 0: value = pick(rng, kHostileValues); break;
+                case 1: value += pick(rng, kHostileValues); break;
+                default: break;
+            }
+            try {
+                exp::apply_override(s, key, value);
+                ++applied;
+            } catch (const std::invalid_argument&) {
+            }
+        }
+        EXPECT_GT(applied, 0u);
+        s.validate();
+        EXPECT_EQ(exp::to_json(exp::scenario_from_json_text(exp::to_json(s))), exp::to_json(s));
+    }
+}
+
+// Mutated scenario JSON either loads or throws std::runtime_error (parse
+// errors and rejected field values alike).
+TEST_P(ScenarioInputFuzz, MutatedJsonLoadsOrThrowsRuntimeError) {
+    util::Rng rng(GetParam() * 104729);
+    exp::Scenario seeded = exp::Scenario::location_defaults();
+    seeded.campaign.compromises.push_back({100.0, 0.5});
+    seeded.campaign.failovers.push_back({50.0, 80.0, true});
+    const std::string bases[] = {exp::to_json(exp::Scenario::binary_defaults()),
+                                 exp::to_json(seeded)};
+    const char* const json_values[] = {"-3", "2.7", "1e308", "-1e308", "9007199254740994",
+                                       "\"abc\"", "null", "true", "[]", "{}", "1e400", "0"};
+    std::size_t loaded = 0;
+    for (int i = 0; i < 300; ++i) {
+        std::string text = pick(rng, bases);
+        for (std::uint64_t m = 1 + rng.uniform_index(3); m > 0; --m) {
+            const std::size_t at = rng.uniform_index(text.size());
+            switch (rng.uniform_index(4)) {
+                case 0: {  // replace one member's value
+                    const std::size_t colon = text.find(": ", at);
+                    if (colon == std::string::npos) break;
+                    const std::size_t end = text.find_first_of(",\n", colon);
+                    text.replace(colon + 2, end - colon - 2, pick(rng, json_values));
+                    break;
+                }
+                case 1: text[at] = static_cast<char>(rng.uniform_index(256)); break;
+                case 2: text.erase(at, rng.uniform_index(16)); break;
+                default: text.insert(at, pick(rng, kHostileValues)); break;
+            }
+        }
+        try {
+            exp::scenario_from_json_text(text).validate();
+            ++loaded;
+        } catch (const std::runtime_error&) {
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioInputFuzz, ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace tibfit

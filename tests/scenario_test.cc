@@ -1,16 +1,20 @@
 // exp::Scenario contract tests: the validate() rejection table (which the
-// runners enforce), the JSON round-trip, the fluent with_* setters, and
-// equivalence of the LocationConfig mapping with the Scenario-native entry
-// point.
+// runners enforce), the JSON round-trip and its pinned text, key=value
+// overrides, the fluent with_* setters, and equivalence of the
+// LocationConfig mapping with the Scenario-native entry point.
 #include "exp/scenario.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "exp/bench_io.h"
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
 #include "obs/json.h"
@@ -214,6 +218,345 @@ TEST(Scenario, LocationShimMatchesScenarioRun) {
     EXPECT_EQ(via_shim.detected, via_scenario.detected);
     EXPECT_EQ(via_shim.isolated, via_scenario.isolated);
     EXPECT_EQ(via_shim.mean_ti_correct, via_scenario.mean_ti_correct);
+}
+
+TEST(Scenario, OverrideTable) {
+    struct Case {
+        bool location_kind;
+        const char* key;
+        const char* value;
+        const char* path;    ///< resolved path on success, nullptr if it throws
+        const char* needle;  ///< the error names this (path and expected type)
+    };
+    const Case cases[] = {
+        {false, "engine.trust.lambda", "0.3", "engine.trust.lambda", nullptr},
+        {false, "lambda", "0.3", "engine.trust.lambda", nullptr},
+        {false, "n_nodes", "12", "binary.n_nodes", nullptr},
+        {true, "n_nodes", "64", "location.n_nodes", nullptr},
+        {false, "location.n_nodes", "64", "location.n_nodes", nullptr},  // full paths reach both
+        {true, "fault_rate", "-1", "engine.trust.fault_rate", nullptr},
+        {false, "policy", "majority_vote", "engine.policy", nullptr},
+        {true, "check.mode", "assert", "check.mode", nullptr},
+        {true, "epsilon", "0.1", "engine.collusion.epsilon", nullptr},
+        {false, "seed", "9007199254740992", "seed", nullptr},  // 2^53, exact in JSON
+        {false, "pct_fauly", "0.5", nullptr, "unknown key 'pct_fauly' for a binary scenario"},
+        {false, "grid_layout", "false", nullptr, "unknown key 'grid_layout'"},
+        {false, "engine.lambda", "0.3", nullptr, "unknown key 'engine.lambda'"},
+        {false, "seed", "abc", nullptr, "seed expects an integer in [0, 9007199254740992]"},
+        {false, "seed", "9007199254740993", nullptr, "seed expects an integer"},
+        {true, "n_nodes", "-3", nullptr, "location.n_nodes expects an integer"},
+        {true, "burst", "2.7", nullptr, "location.burst expects an integer"},
+        {true, "ttl", "256", nullptr, "transport.ttl expects an integer in [0, 255]"},
+        {true, "max_retries", "4294967296", nullptr, "transport.max_retries expects an integer"},
+        {false, "use_shadows", "1", nullptr, "binary.use_shadows expects true or false"},
+        {true, "fault_level", "7", nullptr,
+         "location.fault_level expects one of correct|level0|level1|level2"},
+        {false, "lambda", "nan", nullptr, "engine.trust.lambda expects a finite number"},
+        {false, "lambda", "1e400", nullptr, "engine.trust.lambda expects a finite number"},
+        {false, "lambda", "", nullptr, "engine.trust.lambda expects a finite number"},
+        {false, "lambda", "0.3x", nullptr, "engine.trust.lambda expects a finite number"},
+        {false, "campaign", "{}", nullptr, "'campaign' cannot be set"},
+        {false, "kind", "location", nullptr, "'kind' cannot be set"},
+    };
+    for (const auto& c : cases) {
+        Scenario s = c.location_kind ? Scenario::location_defaults() : Scenario::binary_defaults();
+        const std::string before = to_json(s);
+        const std::string token = std::string(c.key) + "=" + c.value;
+        if (c.path) {
+            EXPECT_EQ(apply_override(s, c.key, c.value), c.path) << token;
+            // The JSON now carries the value at that path.
+            const obs::json::Value v = obs::json::parse(to_json(s));
+            const obs::json::Value* at = &v;
+            for (std::string_view rest = c.path; at;) {
+                const auto dot = rest.find('.');
+                at = at->find(std::string(rest.substr(0, dot)));
+                if (dot == std::string_view::npos) break;
+                rest.remove_prefix(dot + 1);
+            }
+            ASSERT_NE(at, nullptr) << token;
+            const std::string carried =
+                at->is_string() ? at->as_string() : obs::json::number_to_string(at->as_number());
+            EXPECT_EQ(carried, c.value) << token;
+        } else {
+            try {
+                apply_override(s, c.key, c.value);
+                ADD_FAILURE() << "accepted " << token;
+            } catch (const std::invalid_argument& e) {
+                EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+                    << token << ": " << e.what();
+            }
+            EXPECT_EQ(to_json(s), before) << token << " changed the scenario";
+        }
+    }
+}
+
+// A value unlike `text`, in the same field type.
+std::string other_value(const std::string& text) {
+    static const std::map<std::string, std::string> kOther = {
+        {"true", "false"},          {"false", "true"},     {"trust_index", "majority_vote"},
+        {"majority_vote", "trust_index"}, {"level0", "level2"}, {"off", "shadow"}};
+    if (const auto it = kOther.find(text); it != kOther.end()) return it->second;
+    double v = 0.0;
+    std::from_chars(text.data(), text.data() + text.size(), v);
+    return obs::json::number_to_string(v + 1.0);  // integers stay integers
+}
+
+TEST(Scenario, JsonRoundTripCarriesEveryField) {
+    for (Scenario s : {Scenario::binary_defaults(), Scenario::location_defaults()}) {
+        const std::vector<std::string> defaults = override_tokens(s);
+        for (const std::string& token : defaults) {
+            const auto eq = token.find('=');
+            apply_override(s, token.substr(0, eq), other_value(token.substr(eq + 1)));
+        }
+        const std::vector<std::string> changed = override_tokens(s);
+        ASSERT_EQ(changed.size(), defaults.size());
+        for (std::size_t i = 0; i < changed.size(); ++i) EXPECT_NE(changed[i], defaults[i]);
+        EXPECT_EQ(to_json(scenario_from_json_text(to_json(s))), to_json(s));
+    }
+}
+
+// Bare leaves resolve by uniqueness within the kind's sections, so the
+// field list may not repeat a leaf there.
+TEST(Scenario, LeavesAreUniquePerKind) {
+    for (const Scenario& s : {Scenario::binary_defaults(), Scenario::location_defaults()}) {
+        std::set<std::string> leaves;
+        for (const std::string& token : override_tokens(s)) {
+            const std::string path = token.substr(0, token.find('='));
+            EXPECT_TRUE(leaves.insert(path.substr(path.rfind('.') + 1)).second) << path;
+        }
+    }
+}
+
+// The pinned text of both kinds' defaults. Against the previous hand-written
+// writer it differs only by design: engine.sensing_radius is gone (runners
+// take r_s from deployment.sensing_radius) and engine.collusion is new.
+constexpr const char* kSharedGoldenTail = R"(
+  "channel": {
+    "drop_probability": 0.01,
+    "base_latency": 1e-04,
+    "propagation_speed": 30000,
+    "airtime": 0
+  },
+  "transport": {
+    "ack_timeout": 0.05,
+    "max_retries": 5,
+    "ttl": 16
+  },
+  "check": {
+    "mode": "off"
+  },)";
+
+TEST(Scenario, DefaultsJsonIsPinned) {
+    const std::string binary = std::string(R"({
+  "kind": "binary",
+  "seed": 1,
+  "engine": {
+    "policy": "trust_index",
+    "r_error": 5,
+    "t_out": 1,
+    "trust": {
+      "lambda": 0.1,
+      "fault_rate": -1,
+      "removal_ti": 0
+    },
+    "collusion_defense": false,
+    "collusion": {
+      "epsilon": 0.05,
+      "min_clique": 3,
+      "conviction_count": 3
+    },
+    "trust_weighted_location": false
+  },)") + kSharedGoldenTail + R"(
+  "deployment": {
+    "field": 40,
+    "sensing_radius": 20
+  },
+  "faults": {
+    "natural_error_rate": 0.01,
+    "correct_sigma": 1.6,
+    "missed_alarm_rate": 0.5,
+    "false_alarm_rate": 0,
+    "faulty_sigma": 4.25,
+    "faulty_drop_rate": 0.25,
+    "lower_ti": 0.5,
+    "upper_ti": 0.8,
+    "collusion_jitter": 0
+  },
+  "mobility": {
+    "speed_min": 0.5,
+    "speed_max": 1.5,
+    "pause": 2,
+    "tick": 0.5
+  },)";
+    const std::string location = std::string(R"({
+  "kind": "location",
+  "seed": 1,
+  "engine": {
+    "policy": "trust_index",
+    "r_error": 5,
+    "t_out": 1,
+    "trust": {
+      "lambda": 0.25,
+      "fault_rate": 0.1,
+      "removal_ti": 0.05
+    },
+    "collusion_defense": false,
+    "collusion": {
+      "epsilon": 0.05,
+      "min_clique": 3,
+      "conviction_count": 3
+    },
+    "trust_weighted_location": false
+  },)") + kSharedGoldenTail + R"(
+  "deployment": {
+    "field": 100,
+    "sensing_radius": 20
+  },
+  "faults": {
+    "natural_error_rate": 0,
+    "correct_sigma": 1.6,
+    "missed_alarm_rate": 0.5,
+    "false_alarm_rate": 0,
+    "faulty_sigma": 4.25,
+    "faulty_drop_rate": 0.25,
+    "lower_ti": 0.5,
+    "upper_ti": 0.8,
+    "collusion_jitter": 0
+  },
+  "mobility": {
+    "speed_min": 0.5,
+    "speed_max": 1.5,
+    "pause": 2,
+    "tick": 1
+  },)";
+    const std::string workloads = R"(
+  "campaign": {
+    "degradations": [],
+    "failovers": [],
+    "compromises": [],
+    "fault_shifts": []
+  },
+  "binary": {
+    "n_nodes": 10,
+    "pct_faulty": 0.4,
+    "false_alarm_spread_touts": 2,
+    "events": 100,
+    "event_interval": 10,
+    "use_shadows": false,
+    "corrupt_ch": false,
+    "reliable_reports": false
+  },
+  "location": {
+    "n_nodes": 100,
+    "grid_layout": true,
+    "pct_faulty": 0.1,
+    "fault_level": "level0",
+    "multihop": false,
+    "radio_range": 30,
+    "mobile": false,
+    "n_ch": 5,
+    "rotation_period": 20,
+    "events": 200,
+    "event_interval": 10,
+    "burst": 1,
+    "tx_jitter": 0,
+    "decay": false,
+    "decay_initial": 0.05,
+    "decay_step": 0.05,
+    "decay_final": 0.75,
+    "decay_epoch_events": 50,
+    "epoch_events": 50
+  }
+})";
+    EXPECT_EQ(to_json(Scenario::binary_defaults()), binary + workloads);
+    EXPECT_EQ(to_json(Scenario::location_defaults()), location + workloads);
+}
+
+TEST(Scenario, FromJsonRejectsBadIntegersAndTypes) {
+    const struct {
+        const char* json;
+        const char* needle;
+    } cases[] = {
+        {R"({"kind": "location", "location": {"n_nodes": -3}})", "location.n_nodes"},
+        {R"({"kind": "location", "location": {"burst": 2.7}})", "location.burst"},
+        {R"({"transport": {"ttl": 257}})", "transport.ttl"},
+        {R"({"transport": {"max_retries": 1e10}})", "transport.max_retries"},
+        {R"({"seed": 9007199254740994})", "seed"},  // 2^53 + 2
+        {R"({"seed": "abc"})", "seed"},
+        {R"({"engine": {"trust": {"lambda": "0.3"}}})", "engine.trust.lambda"},
+        {R"({"engine": {"collusion_defense": 1}})", "engine.collusion_defense"},
+        {R"({"engine": {"policy": "tibfit"}})", "engine.policy"},
+        {R"({"check": {"mode": "loud"}})", "check.mode"},
+        {R"({"kind": 3})", "kind"},
+    };
+    for (const auto& c : cases) {
+        try {
+            scenario_from_json_text(c.json);
+            ADD_FAILURE() << "accepted " << c.json;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+                << c.json << ": " << e.what();
+        }
+    }
+    // The largest exact seed and unknown keys still load.
+    const Scenario s =
+        scenario_from_json_text(R"({"seed": 9007199254740992, "extra": {"x": 1}})");
+    EXPECT_EQ(s.seed, 9007199254740992u);
+}
+
+// tibfit_cli builds a mode=location run as location_defaults() plus its
+// pct_faulty=0.3 preset plus the user's keys; perfbench's multihop_shadow
+// builds the same command line through the LocationConfig mapping.
+TEST(Scenario, CliOverridesMatchTheLocationConfigMapping) {
+    LocationConfig c;
+    c.multihop = true;
+    c.radio_range = 25.0;
+    c.pct_faulty = 0.5;
+    c.seed = 31;
+    c.events = 40;
+    Scenario via_shim = to_scenario(c);
+    via_shim.check.mode = check::Mode::Assert;
+
+    Scenario via_keys = Scenario::location_defaults();
+    for (const auto& [k, v] : std::vector<std::pair<const char*, const char*>>{
+             {"pct_faulty", "0.3"},  // the CLI preset
+             {"multihop", "true"},
+             {"radio_range", "25"},
+             {"pct_faulty", "0.5"},
+             {"check.mode", "assert"},
+             {"seed", "31"},
+             {"events", "40"}}) {
+        apply_override(via_keys, k, v);
+    }
+    EXPECT_EQ(to_json(via_keys), to_json(via_shim));
+    const LocationResult a = run_location_experiment(via_keys);
+    const LocationResult b = run_location_experiment(via_shim);
+    EXPECT_EQ(a.accuracy, b.accuracy);
+    EXPECT_EQ(a.checked_decisions, b.checked_decisions);
+    EXPECT_EQ(a.mean_ti_faulty, b.mean_ti_faulty);
+}
+
+// Bench knobs of the wrong type exit 2 naming the knob instead of
+// terminating on util::Config's exception.
+TEST(BenchIoDeathTest, WrongTypedKnobsExitTwo) {
+    const auto run = [](const char* arg, auto read) {
+        char name[] = "bench_fig4";
+        std::string token = arg;
+        char* argv[] = {name, token.data()};
+        BenchIo io("bench_fig4", 2, argv);
+        read(io);
+    };
+    EXPECT_EXIT(run("events=abc", [](BenchIo& io) { io.option("events", 200, "events"); }),
+                ::testing::ExitedWithCode(2),
+                "bench_fig4: invalid value 'abc' for events= \\(expects an integer\\)");
+    EXPECT_EXIT(run("events=1.5", [](BenchIo& io) { io.option("events", 200, "events"); }),
+                ::testing::ExitedWithCode(2), "invalid value '1.5' for events=");
+    EXPECT_EXIT(run("runs=abc", [](BenchIo& io) { io.trial_runs(5); }),
+                ::testing::ExitedWithCode(2), "invalid value 'abc' for runs=");
+    EXPECT_EXIT(run("lambda=x", [](BenchIo& io) { io.option("lambda", 0.1, "lambda"); }),
+                ::testing::ExitedWithCode(2), "expects a number");
+    EXPECT_EXIT(run("smoke=2", [](BenchIo& io) { io.option("smoke", false, "smoke"); }),
+                ::testing::ExitedWithCode(2), "expects true or false");
 }
 
 }  // namespace
