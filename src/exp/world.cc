@@ -118,6 +118,12 @@ void World::add_nodes(std::vector<util::Vec2> node_positions, double radio_range
                       double tx_jitter) {
     positions = std::move(node_positions);
     node_range_ = radio_range;
+    // Only smart behaviours read the TI mirror. Compromise onsets install
+    // fault_level_ and nothing else, so the rule is per world: in a smart
+    // world every node mirrors from t = 0, and a node compromised later
+    // never lies from a stale mirror.
+    const bool mirrors = fault_level_ == sensor::NodeClass::Level1 ||
+                         fault_level_ == sensor::NodeClass::Level2;
     nodes.reserve(n_nodes_);
     std::vector<sensor::SensorNode*> raw;
     for (std::size_t i = 0; i < n_nodes_; ++i) {
@@ -126,6 +132,7 @@ void World::add_nodes(std::vector<util::Vec2> node_positions, double radio_range
         auto node = std::make_unique<sensor::SensorNode>(
             simulator, id, positions[i], engine.sensing_radius, net::Radio(channel, id),
             make_behavior(cls, faults, collusion_, binary_), root.stream("node", i), trust);
+        node->set_mirrors_trust(mirrors);
         node->set_binary_mode(binary_);
         node->set_tx_jitter(tx_jitter);
         node->set_cluster_head(static_cast<sim::ProcessId>(n_nodes_));

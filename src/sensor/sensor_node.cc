@@ -50,7 +50,7 @@ SenseContext SensorNode::make_context(std::uint64_t event_id,
     ctx.true_location = true_location;
     ctx.node_position = position_;
     ctx.sensing_radius = sensing_radius_;
-    ctx.tracked_ti = tracked_ti();
+    if (mirrors_trust_) ctx.tracked_ti = tracked_ti();  // else stays 1.0 = exp(0)
     return ctx;
 }
 
@@ -92,6 +92,7 @@ bool SensorNode::consumes(const net::Packet& packet) const {
         return transport_.has_value();
     }
     if (const auto* d = packet.as<net::DecisionPayload>()) {
+        if (!mirrors_trust_) return false;
         const auto names_me = [this](const std::vector<core::NodeId>& ids) {
             return std::find(ids.begin(), ids.end(), id()) != ids.end();
         };
@@ -111,6 +112,7 @@ void SensorNode::handle_packet(const net::Packet& packet) {
     // Mirror the CH's judgements to track our own TI (smart adversaries);
     // also learn the current CH from its advertisements.
     if (const auto* d = packet.as<net::DecisionPayload>()) {
+        if (!mirrors_trust_) return;
         for (core::NodeId n : d->judged_correct) {
             if (n == id()) tracked_.record_correct(trust_params_);
         }

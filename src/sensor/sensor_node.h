@@ -1,7 +1,8 @@
 // A sensing node on the network: senses events within r_s, runs its fault
 // behaviour to decide what to report, transmits to the current cluster
-// head, and — for smart behaviours — mirrors its own CH-side trust index
-// from the CH's decision broadcasts.
+// head, and — when it mirrors trust — tracks its own CH-side trust index
+// from the CH's decision broadcasts. Only smart behaviours read that
+// mirror, so a run turns it off where no node can ever turn smart.
 #pragma once
 
 #include <memory>
@@ -49,6 +50,13 @@ class SensorNode : public sim::Process {
     /// True while an affiliation window is open.
     bool affiliating() const { return affiliating_; }
 
+    /// Whether the node mirrors its CH-side TI from decision broadcasts
+    /// (default on). Only smart behaviours (Level 1 and 2) read the mirror;
+    /// with it off, decisions are neither consumed nor handled. Fixed
+    /// before the run starts: consumes() reads it.
+    void set_mirrors_trust(bool on) { mirrors_trust_ = on; }
+    bool mirrors_trust() const { return mirrors_trust_; }
+
     /// Binary vs. location reporting (Experiment 1 vs. 2).
     void set_binary_mode(bool binary) { binary_mode_ = binary; }
 
@@ -87,7 +95,7 @@ class SensorNode : public sim::Process {
     void on_quiet_window(std::uint64_t window_id);
 
     /// The node's mirror of its CH-side TI (exact for the strongest
-    /// adversary; correct nodes carry it too but never consult it).
+    /// adversary); stays 1.0 while mirrors_trust() is off.
     double tracked_ti() const { return tracked_.ti(trust_params_); }
 
     /// Number of reports this node has transmitted.
@@ -96,7 +104,8 @@ class SensorNode : public sim::Process {
     // sim::Process
     void handle_packet(const net::Packet& packet) override;
     /// Relay traffic iff a transport is enabled, decisions that name this
-    /// node, and CH adverts; handle_packet ignores everything else.
+    /// node iff it mirrors trust, and CH adverts; handle_packet ignores
+    /// everything else.
     bool consumes(const net::Packet& packet) const override;
 
   private:
@@ -112,6 +121,7 @@ class SensorNode : public sim::Process {
     core::TrustParams trust_params_;
     core::TrustIndex tracked_;
     sim::ProcessId cluster_head_ = sim::kNoProcess;
+    bool mirrors_trust_ = true;
     bool binary_mode_ = false;
     double tx_jitter_ = 0.0;
     std::size_t reports_sent_ = 0;

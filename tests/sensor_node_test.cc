@@ -221,6 +221,31 @@ TEST_F(SensorNodeTest, UnconsumedPacketsAreNoOps) {
     EXPECT_TRUE(ch_.received.empty());
 }
 
+TEST_F(SensorNodeTest, NonMirroringNodeSkipsDecisions) {
+    auto node = make_node(0, {40, 40}, std::make_unique<CorrectBehavior>(honest()));
+    node->set_mirrors_trust(false);
+    EXPECT_FALSE(node->mirrors_trust());
+
+    net::DecisionPayload names_correct;
+    names_correct.judged_correct = {4, 0};
+    net::DecisionPayload names_faulty;
+    names_faulty.judged_faulty = {0};
+    for (const auto& p : {packet_from(10, names_correct), packet_from(10, names_faulty)}) {
+        EXPECT_FALSE(node->consumes(p));
+        const NodeObservation before = observe(*node, simulator_);
+        node->handle_packet(p);
+        EXPECT_TRUE(observe(*node, simulator_) == before);
+        EXPECT_EQ(node->tracked_ti(), 1.0);
+    }
+
+    // Adverts and, with a transport, relay traffic are still consumed.
+    EXPECT_TRUE(node->consumes(packet_from(10, net::ChAdvertPayload{})));
+    net::RoutingTable routes;
+    node->enable_relay(&routes);
+    EXPECT_TRUE(node->consumes(packet_from(10, net::RelayEnvelopePayload{})));
+    EXPECT_TRUE(node->consumes(packet_from(10, net::RelayAckPayload{})));
+}
+
 TEST_F(SensorNodeTest, TxJitterDelaysButDelivers) {
     auto node = make_node(0, {40, 40}, std::make_unique<CorrectBehavior>(honest()));
     node->set_binary_mode(true);
