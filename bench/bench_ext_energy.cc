@@ -2,22 +2,26 @@
 // paper adopts LEACH: "These properties help spread energy usage equally
 // throughout the network").
 //
-// A self-organizing deployment runs on small batteries until most of the
-// network dies. Rotating leadership (higher ch_fraction = shorter average
-// leaderships per node) spreads the expensive CH duty; the table reports
-// when the first node dies and when half the network is gone, plus how
-// evenly the duty was spread (leaderships served, min..max across nodes).
+// A self-organizing network (location.clustering = leach) runs on small
+// batteries until most of the network dies. Rotating leadership (higher
+// ch_fraction = shorter average leaderships per node) spreads the expensive
+// CH duty; the table reports when the first node dies and when half the
+// network is gone, plus how evenly the duty was spread (leaderships served,
+// min..max across nodes).
 #include <algorithm>
 #include <map>
 #include <vector>
 
-#include "cluster/deployment.h"
 #include "exp/bench_io.h"
+#include "exp/location_experiment.h"
 #include "util/table.h"
 
 namespace {
 
 using namespace tibfit;
+
+constexpr std::size_t kNodes = 64;
+constexpr std::size_t kRounds = 220;
 
 struct Lifetime {
     std::size_t first_death_round = 0;
@@ -27,48 +31,34 @@ struct Lifetime {
 };
 
 Lifetime run(double ch_fraction, std::uint64_t seed) {
-    sim::Simulator sim;
-    cluster::DeploymentConfig cfg;
-    cfg.round_duration = 60.0;
-    cfg.leach.ch_fraction = ch_fraction;
-    cfg.initial_energy = 0.05;  // starvation budget so lifetimes are visible
-
-    std::vector<util::Vec2> positions;
-    for (int i = 0; i < 64; ++i) {
-        positions.push_back({6.25 + 12.5 * (i % 8), 6.25 + 12.5 * (i / 8)});
-    }
-    sensor::FaultParams fp;
-    std::vector<std::unique_ptr<sensor::FaultBehavior>> behaviors;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        behaviors.push_back(std::make_unique<sensor::CorrectBehavior>(fp));
-    }
-
-    cluster::Deployment net(sim, util::Rng(seed), cfg, positions, std::move(behaviors));
-    const std::size_t rounds = 220;
-    net.generator().schedule_events(rounds * 6, 10.0, 5.0);
-    net.start(cfg.round_duration * static_cast<double>(rounds));
-    sim.run();
+    exp::Scenario s = exp::Scenario::location_defaults();
+    s.seed = seed;
+    s.faults.natural_error_rate = 0.01;
+    s.location.n_nodes = kNodes;
+    s.location.pct_faulty = 0.0;
+    // Six events 10 s apart per 60 s round: the horizon is kRounds rounds.
+    s.location.events = kRounds * 6;
+    s.location.clustering = exp::Clustering::Leach;
+    s.location.leach = {ch_fraction, 60.0, 0.05};  // starvation budget: lifetimes show
+    const exp::LocationResult result = exp::run_location_experiment(s);
 
     Lifetime life;
     std::map<sim::ProcessId, std::size_t> led;
-    for (const auto& r : net.rounds()) {
+    for (std::size_t round = 0; round < result.rounds.size(); ++round) {
+        const cluster::RoundRecord& r = result.rounds[round];
         for (auto h : r.heads) ++led[h];
-        if (life.first_death_round == 0 && r.alive < positions.size()) {
-            life.first_death_round = r.round;
-        }
-        if (life.half_dead_round == 0 && r.alive <= positions.size() / 2) {
-            life.half_dead_round = r.round;
-        }
+        if (life.first_death_round == 0 && r.alive < kNodes) life.first_death_round = round;
+        if (life.half_dead_round == 0 && r.alive <= kNodes / 2) life.half_dead_round = round;
     }
-    if (life.first_death_round == 0) life.first_death_round = rounds;
-    if (life.half_dead_round == 0) life.half_dead_round = rounds;
-    life.min_led = positions.size();
+    if (life.first_death_round == 0) life.first_death_round = kRounds;
+    if (life.half_dead_round == 0) life.half_dead_round = kRounds;
+    life.min_led = kNodes;
     for (const auto& [id, count] : led) {
         (void)id;
         life.min_led = std::min(life.min_led, count);
         life.max_led = std::max(life.max_led, count);
     }
-    if (led.size() < positions.size()) life.min_led = 0;  // someone never led
+    if (led.size() < kNodes) life.min_led = 0;  // someone never led
     return life;
 }
 
@@ -87,7 +77,6 @@ int main(int argc, char** argv) {
                std::to_string(life.min_led) + ".." + std::to_string(life.max_led)});
     }
     io.emit(t);
-    // The lifetime harness drives a Deployment directly; the artifact's
-    // metrics come from the shared default instrumented run.
+    // The artifact's metrics come from the shared default instrumented run.
     return io.finish();
 }

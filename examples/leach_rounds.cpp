@@ -11,6 +11,7 @@
 // would elect them.
 //
 // Usage: ./leach_rounds [rounds=24] [seed=2]
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <vector>
@@ -65,8 +66,6 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < kNodes; ++i) {
             cluster::Candidate c;
             c.id = static_cast<sim::ProcessId>(i);
-            c.position = {5.0 + 10.0 * static_cast<double>(i % 5),
-                          5.0 + 10.0 * static_cast<double>(i / 5)};
             c.energy_fraction = batteries[i].fraction();
             c.ti = trust.ti(static_cast<core::NodeId>(i));
             candidates.push_back(c);
@@ -82,9 +81,10 @@ int main(int argc, char** argv) {
         }
         std::printf("%*s%s\n", static_cast<int>(27 - 3 * result.heads.size()), "",
                     result.drafted ? "(drafted)" : "");
+        // Every node that is not a head this round reports as a member.
         for (std::size_t i = 0; i < kNodes; ++i) {
-            if (served.count(static_cast<sim::ProcessId>(i)) == 0 ||
-                result.affiliation.count(static_cast<sim::ProcessId>(i))) {
+            const auto id = static_cast<sim::ProcessId>(i);
+            if (std::find(result.heads.begin(), result.heads.end(), id) == result.heads.end()) {
                 batteries[i].consume(member_cost);
             }
         }

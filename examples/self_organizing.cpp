@@ -2,17 +2,17 @@
 //
 // 64 identical sensors, no infrastructure: every round, LEACH (with the
 // paper's trust-index admission gate) elects a handful of sensors to serve
-// as cluster heads, the rest affiliate with the nearest head, reports flow,
-// TIBFIT adjudicates, trust deposits at the base station between rounds,
-// and transmission costs drain batteries so leadership keeps rotating.
-// A quarter of the sensors are compromised; watch the archive separate
-// them and the election stop trusting them with leadership.
+// as cluster heads, the rest affiliate with the strongest advertisement,
+// reports flow, TIBFIT adjudicates, trust deposits at the base station
+// between rounds, and transmission costs drain batteries so leadership
+// keeps rotating. A quarter of the sensors are compromised; watch the
+// archive separate them and the election stop trusting them with
+// leadership. The run is a location scenario with clustering = leach.
 //
 // Usage: ./self_organizing [rounds=12] [faulty=16] [seed=9]
 #include <cstdio>
-#include <set>
 
-#include "cluster/deployment.h"
+#include "exp/location_experiment.h"
 #include "util/config.h"
 
 int main(int argc, char** argv) {
@@ -24,76 +24,36 @@ int main(int argc, char** argv) {
     const auto n_faulty = static_cast<std::size_t>(args.get_int("faulty", 16));
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
 
-    sim::Simulator sim;
-
-    cluster::DeploymentConfig cfg;
-    cfg.round_duration = 100.0;
-    cfg.leach.ch_fraction = 0.08;
-    cfg.leach.ti_threshold = 0.5;
-
-    // 8x8 lattice; the first n_faulty ids are level-0 compromised.
-    std::vector<util::Vec2> positions;
-    for (int i = 0; i < 64; ++i) {
-        positions.push_back({6.25 + 12.5 * (i % 8), 6.25 + 12.5 * (i / 8)});
-    }
-    sensor::FaultParams fp;
-    fp.correct_sigma = 1.6;
-    fp.faulty_sigma = 4.25;
-    fp.faulty_drop_rate = 0.25;
-    std::vector<std::unique_ptr<sensor::FaultBehavior>> behaviors;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        if (i < n_faulty) {
-            behaviors.push_back(std::make_unique<sensor::Level0Fault>(fp, false));
-        } else {
-            behaviors.push_back(std::make_unique<sensor::CorrectBehavior>(fp));
-        }
-    }
-
-    cluster::Deployment net(sim, util::Rng(seed), cfg, positions, std::move(behaviors));
-    const double horizon = cfg.round_duration * static_cast<double>(rounds);
-    net.generator().schedule_events(static_cast<std::size_t>(horizon / 12.0), 12.0, 6.0);
-    net.start(horizon);
-    sim.run();
-
-    // Score detection.
-    std::size_t detected = 0;
-    for (const auto& ev : net.generator().history()) {
-        for (const auto& dec : net.decisions()) {
-            if (!dec.event_declared || !dec.has_location) continue;
-            if (dec.time < ev.time || dec.time > ev.time + 5.0) continue;
-            if (util::distance(dec.location, ev.location) <= 5.0) {
-                ++detected;
-                break;
-            }
-        }
-    }
+    // 8x8 lattice; n_faulty level-0 compromised nodes; one event every 12 s
+    // over `rounds` rounds of 100 s.
+    exp::Scenario s = exp::Scenario::location_defaults();
+    s.seed = seed;
+    s.faults.natural_error_rate = 0.01;
+    s.location.n_nodes = 64;
+    s.location.pct_faulty = static_cast<double>(n_faulty) / 64.0;
+    s.location.event_interval = 12.0;
+    s.location.events = rounds * 100 / 12;
+    s.location.clustering = exp::Clustering::Leach;
+    s.location.leach.ch_fraction = 0.08;
+    const exp::LocationResult r = exp::run_location_experiment(s);
 
     std::printf("Self-organizing run: %zu rounds, %zu events, %zu/64 sensors compromised\n\n",
-                net.rounds().size(), net.generator().history().size(), n_faulty);
+                r.rounds.size(), r.events, n_faulty);
     std::printf("round  heads                          compromised heads\n");
     std::size_t compromised_leaderships = 0;
-    for (const auto& r : net.rounds()) {
-        std::printf("%4u   ", r.round);
-        std::size_t bad = 0;
-        for (auto h : r.heads) {
-            std::printf("%2u ", h);
-            if (h < n_faulty) ++bad;
-        }
-        compromised_leaderships += bad;
-        std::printf("%*s%zu\n", static_cast<int>(31 - 3 * r.heads.size()), "", bad);
+    for (std::size_t round = 0; round < r.rounds.size(); ++round) {
+        const cluster::RoundRecord& rr = r.rounds[round];
+        std::printf("%4zu   ", round);
+        for (auto h : rr.heads) std::printf("%2u ", h);
+        compromised_leaderships += rr.compromised_heads;
+        std::printf("%*s%zu\n", static_cast<int>(31 - 3 * rr.heads.size()), "",
+                    rr.compromised_heads);
     }
 
-    double vf = 0.0, vc = 0.0;
-    for (core::NodeId i = 0; i < positions.size(); ++i) {
-        const double ti = net.base_station().archive().ti(i);
-        (i < n_faulty ? vf : vc) += ti;
-    }
-    std::printf("\nevents detected within r_error: %zu/%zu\n", detected,
-                net.generator().history().size());
-    std::printf("archive mean TI: honest %.3f, compromised %.3f\n",
-                vc / static_cast<double>(positions.size() - n_faulty),
-                vf / static_cast<double>(n_faulty));
+    std::printf("\nevents detected within r_error: %zu/%zu\n", r.detected, r.events);
+    std::printf("archive mean TI: honest %.3f, compromised %.3f\n", r.mean_ti_correct,
+                r.mean_ti_faulty);
     std::printf("compromised leaderships across all rounds: %zu\n", compromised_leaderships);
-    std::printf("alive nodes at end: %zu/64\n", net.alive_nodes());
-    return detected * 2 >= net.generator().history().size() ? 0 : 1;
+    std::printf("alive nodes at end: %zu/64\n", r.rounds.empty() ? 64 : r.rounds.back().alive);
+    return r.detected * 2 >= r.events ? 0 : 1;
 }

@@ -13,7 +13,6 @@ namespace tibfit::cluster {
 struct EnergyParams {
     double e_elec = 50e-9;      ///< electronics energy per bit
     double eps_amp = 100e-12;   ///< amplifier energy per bit per m^2
-    double idle_per_second = 0; ///< optional idle drain
 };
 
 /// Cost of one transmission of `bits` over distance `d`.

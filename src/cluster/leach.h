@@ -11,16 +11,24 @@
 // most energetic eligible node is drafted so the cluster always has a head;
 // if no node clears the TI bar, the base station's re-initiation is modeled
 // by drafting the highest-TI node.
+//
+// LeachRounds runs that election round after round over a network whose
+// sensing nodes each host a CH role (location.clustering = leach).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "cluster/base_station.h"
+#include "cluster/cluster_head.h"
+#include "cluster/energy.h"
+#include "sensor/sensor_node.h"
 #include "sim/process.h"
+#include "sim/simulator.h"
 #include "util/rng.h"
-#include "util/vec2.h"
 
 namespace tibfit::cluster {
 
@@ -33,7 +41,6 @@ struct LeachParams {
 /// A candidate's view presented to the election.
 struct Candidate {
     sim::ProcessId id = sim::kNoProcess;
-    util::Vec2 position;
     double energy_fraction = 1.0;  ///< residual / initial energy, in [0,1]
     double ti = 1.0;               ///< trust index from the base station archive
 };
@@ -41,8 +48,6 @@ struct Candidate {
 /// Result of one election round.
 struct ElectionResult {
     std::vector<sim::ProcessId> heads;
-    /// node -> head it affiliated with (strongest signal = nearest head).
-    std::unordered_map<sim::ProcessId, sim::ProcessId> affiliation;
     /// True if the TI gate excluded every volunteer and a fallback draft
     /// was used (the base station had to re-initiate election).
     bool drafted = false;
@@ -76,6 +81,52 @@ class LeachElection {
     util::Rng rng_;
     std::unordered_map<sim::ProcessId, std::uint32_t> last_served_round_;
     std::unordered_map<sim::ProcessId, std::uint32_t> served_count_;
+};
+
+/// One round of LeachRounds, recorded for inspection.
+struct RoundRecord {
+    std::vector<sim::ProcessId> heads;  ///< sensing-node ids elected
+    bool drafted = false;               ///< see ElectionResult::drafted
+    std::size_t alive = 0;              ///< nodes with battery left
+    std::size_t compromised_heads = 0;  ///< heads whose sensor is not Correct
+};
+
+/// Self-organized clustering (Section 2) over a built network: sensing
+/// node i hosts the inactive CH role hosts[i], one per node. Each round
+/// bills the reports sent since the last round to the batteries, retires
+/// the previous heads (their trust tables go to the base station), elects
+/// new heads among the alive nodes by archive TI and residual energy,
+/// activates them, and has every other alive node affiliate with the
+/// strongest advertisement.
+class LeachRounds {
+  public:
+    LeachRounds(sim::Simulator& sim, util::Rng rng, LeachParams params, double initial_energy,
+                std::span<const std::unique_ptr<sensor::SensorNode>> nodes,
+                std::span<const std::unique_ptr<ClusterHead>> hosts, const BaseStation& station);
+
+    /// Runs the first round now, then one every `round_duration` while
+    /// now + round_duration < until.
+    void start(double round_duration, double until);
+
+    const std::vector<RoundRecord>& rounds() const { return rounds_; }
+
+  private:
+    void run_round();
+    void bill_energy();
+    /// Index of the co-located host behind a sink id; nodes.size() if none.
+    std::size_t host_index(sim::ProcessId sink) const;
+
+    sim::Simulator* sim_;
+    LeachElection election_;
+    std::span<const std::unique_ptr<sensor::SensorNode>> nodes_;
+    std::span<const std::unique_ptr<ClusterHead>> hosts_;
+    const BaseStation* station_;
+    std::vector<Battery> batteries_;
+    std::vector<std::size_t> reports_billed_;  ///< per node, reports already charged
+    std::vector<sim::ProcessId> active_heads_;
+    std::vector<RoundRecord> rounds_;
+    double round_duration_ = 0.0;
+    double until_ = 0.0;
 };
 
 }  // namespace tibfit::cluster

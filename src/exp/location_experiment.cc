@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cluster/base_station.h"
 #include "cluster/cluster_head.h"
+#include "cluster/leach.h"
 #include "exp/world.h"
 #include "obs/names.h"
 #include "obs/recorder.h"
@@ -94,10 +96,14 @@ LocationResult run_location_experiment(const Scenario& scenario) {
     const double sensor_range = wl.multihop ? wl.radio_range : kRange;
     w.add_nodes(std::move(positions), sensor_range, wl.tx_jitter);
 
-    // ---- Rotating cluster heads + base station ----
-    const auto bs_id = static_cast<sim::ProcessId>(n_nodes + wl.n_ch);
+    // ---- Cluster heads + base station ----
+    // Static: n_ch dedicated CH entities, the first active. LEACH: one
+    // inactive CH role co-located with every node, activated by election.
+    const bool leach = wl.clustering == Clustering::Leach;
+    const std::size_t n_heads = leach ? n_nodes : wl.n_ch;
+    const auto bs_id = static_cast<sim::ProcessId>(n_nodes + n_heads);
     std::vector<std::unique_ptr<cluster::ClusterHead>> heads;
-    for (std::size_t c = 0; c < wl.n_ch; ++c) {
+    for (std::size_t c = 0; c < n_heads; ++c) {
         const auto id = static_cast<sim::ProcessId>(n_nodes + c);
         heads.push_back(std::make_unique<cluster::ClusterHead>(
             w.simulator, id, net::Radio(channel, id), w.engine));
@@ -106,10 +112,13 @@ LocationResult run_location_experiment(const Scenario& scenario) {
         head.set_binary_mode(false);
         head.set_topology(w.positions);
         head.set_base_station(bs_id);
-        head.set_active(c == 0);
-        // CHs sit near the field centre, spread slightly so they are
-        // distinct radio endpoints.
-        channel.attach(head, {field / 2.0 + 2.0 * static_cast<double>(c), field / 2.0}, kRange);
+        head.set_active(!leach && c == 0);
+        // Dedicated CHs sit near the field centre, spread slightly so they
+        // are distinct radio endpoints.
+        channel.attach(head,
+                       leach ? w.positions[c]
+                             : util::Vec2{field / 2.0 + 2.0 * static_cast<double>(c), field / 2.0},
+                       kRange);
         channel.set_drop_probability(id, 0.0);  // CH control traffic is reliable
     }
     cluster::BaseStation station(w.simulator, bs_id, net::Radio(channel, bs_id), w.trust);
@@ -155,10 +164,19 @@ LocationResult run_location_experiment(const Scenario& scenario) {
     }
 
     // ---- CH rotation schedule ----
-    // Rotations happen between events, every rotation_period event instants.
+    // Static: rotations happen between events, every rotation_period event
+    // instants. LEACH: a round every round_duration from t = 0.
     const double rotation_gap = wl.event_interval / 2.0;
     std::size_t active_ch = 0;
-    const std::size_t n_rotations = wl.rotation_period ? instants / wl.rotation_period : 0;
+    std::optional<cluster::LeachRounds> rounds;
+    if (leach) {
+        rounds.emplace(w.simulator, w.root.stream("election"),
+                       cluster::LeachParams{wl.leach.ch_fraction}, wl.leach.initial_energy, w.nodes,
+                       heads, station);
+        rounds->start(wl.leach.round_duration, wl.event_interval * static_cast<double>(instants));
+    }
+    const std::size_t n_rotations =
+        leach || !wl.rotation_period ? 0 : instants / wl.rotation_period;
     for (std::size_t r = 1; r <= n_rotations; ++r) {
         const double at = start +
                           wl.event_interval * static_cast<double>(r * wl.rotation_period) -
@@ -232,8 +250,10 @@ LocationResult run_location_experiment(const Scenario& scenario) {
         }
     }
 
-    // Final trust state from the currently active CH.
-    const auto& tm = heads[active_ch]->engine().trust();
+    // Final trust state: the active dedicated CH's table, or under LEACH
+    // the base-station archive.
+    const auto& tm = leach ? station.archive() : heads[active_ch]->engine().trust();
+    if (rounds) result.rounds = rounds->rounds();
     result.isolated = tm.isolated_nodes().size();
     if (obs::Recorder* rec = w.rec) {
         auto& reg = rec->metrics();

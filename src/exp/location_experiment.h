@@ -9,11 +9,17 @@
 // sigma 4.25/6.0 and drop 25% of reports (Table 2). Accuracy is the
 // fraction of generated events for which the active CH declared an event
 // within r_error of the true location.
+//
+// With location.clustering = leach the dedicated CHs give way to the
+// Section-2 system model: every node hosts a CH role, LEACH rounds elect
+// the heads (cluster::LeachRounds), and the final trust is the base-station
+// archive.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "cluster/leach.h"
 #include "exp/scenario.h"
 
 namespace tibfit::obs {
@@ -110,6 +116,7 @@ struct LocationResult : RunResult {
     std::size_t false_positives = 0;  ///< declared events matching no ground truth
     std::size_t isolated = 0;         ///< nodes diagnosed by the final trust table
     std::vector<double> epoch_accuracy;  ///< accuracy per epoch_events window
+    std::vector<cluster::RoundRecord> rounds;  ///< LEACH elections (empty when static)
 };
 
 /// Runs one complete location simulation, including any fault-injection

@@ -27,6 +27,8 @@ constexpr std::pair<sensor::NodeClass, std::string_view> kFaultLevels[] = {
     {sensor::NodeClass::Level0, "level0"},
     {sensor::NodeClass::Level1, "level1"},
     {sensor::NodeClass::Level2, "level2"}};
+constexpr std::pair<Clustering, std::string_view> kClusterings[] = {
+    {Clustering::Static, "static"}, {Clustering::Leach, "leach"}};
 const std::pair<check::Mode, std::string_view> kCheckModes[] = {
     {check::Mode::Off, check::mode_name(check::Mode::Off)},
     {check::Mode::Shadow, check::mode_name(check::Mode::Shadow)},
@@ -35,6 +37,7 @@ const std::pair<check::Mode, std::string_view> kCheckModes[] = {
 auto names(Scenario::Kind) { return std::span(kKinds); }
 auto names(core::DecisionPolicy) { return std::span(kPolicies); }
 auto names(sensor::NodeClass) { return std::span(kFaultLevels); }
+auto names(Clustering) { return std::span(kClusterings); }
 auto names(check::Mode) { return std::span(kCheckModes); }
 
 template <class E>
@@ -128,6 +131,10 @@ void for_each_field(S& s, F&& f) {
     f("location.decay_final", s.location.decay_final);
     f("location.decay_epoch_events", s.location.decay_epoch_events);
     f("location.epoch_events", s.location.epoch_events);
+    f("location.clustering", s.location.clustering);
+    f("location.leach.ch_fraction", s.location.leach.ch_fraction);
+    f("location.leach.round_duration", s.location.leach.round_duration);
+    f("location.leach.initial_energy", s.location.leach.initial_energy);
 }
 
 // ---- Field kinds ----
@@ -342,6 +349,21 @@ std::vector<std::string> Scenario::validate() const {
             if (location.decay_epoch_events == 0) {
                 errors.push_back("scenario: decay_epoch_events must be >= 1");
             }
+        }
+        if (location.clustering == Clustering::Leach) {
+            const LeachSettings& leach = location.leach;
+            if (!(leach.ch_fraction > 0.0) || leach.ch_fraction > 1.0) {
+                errors.push_back("scenario: leach ch_fraction outside (0, 1]");
+            }
+            if (leach.round_duration <= 0.0) {
+                errors.push_back("scenario: leach round_duration must be > 0");
+            }
+            if (leach.initial_energy <= 0.0) {
+                errors.push_back("scenario: leach initial_energy must be > 0");
+            }
+            // Relay routes and the mobility refresh address dedicated CH ids.
+            if (location.multihop) errors.push_back("scenario: leach clustering with multihop");
+            if (location.mobile) errors.push_back("scenario: leach clustering with mobile");
         }
         if (!campaign.failovers.empty()) {
             errors.push_back(

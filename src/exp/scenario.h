@@ -53,6 +53,18 @@ struct BinaryWorkload {
     bool reliable_reports = false;
 };
 
+/// How a location run forms its clusters: dedicated CH entities rotating
+/// on a schedule (the paper's evaluation setup), or LEACH heads elected
+/// from the sensors every round (its Section 2 system model).
+enum class Clustering { Static, Leach };
+
+/// LEACH rounds (location.clustering = leach).
+struct LeachSettings {
+    double ch_fraction = 0.1;      ///< P: desired fraction of heads per round
+    double round_duration = 100.0;  ///< seconds of leadership per round
+    double initial_energy = 1.0;    ///< joules per node battery
+};
+
 /// Experiment-2/3 workload shape (location model, Sections 4.2-4.3).
 struct LocationWorkload {
     std::size_t n_nodes = 100;
@@ -75,6 +87,10 @@ struct LocationWorkload {
     double decay_final = 0.75;
     std::size_t decay_epoch_events = 50;
     std::size_t epoch_events = 50;  ///< accuracy-vs-time series granularity
+    /// Leach: every node hosts a CH role; n_ch and rotation_period are
+    /// unused, and multihop and mobile are rejected.
+    Clustering clustering = Clustering::Static;
+    LeachSettings leach;
 };
 
 /// Field geometry every runner reads.

@@ -8,7 +8,8 @@
 // oracle per decision engine, relay routing, the event generator with its
 // trace hook, the merged decision log — and the epilogue every run ends
 // with. The runners (binary_experiment.cc, location_experiment.cc) add
-// only what differs: placement, the CH layout, schedules and scoring.
+// only what differs: placement, the CH layout (dedicated, or one LEACH role
+// per node), schedules and scoring.
 //
 // Order is part of the output: channel endpoints live in a hash map, so
 // attach order fixes broadcast iteration order, and the simulator breaks

@@ -43,7 +43,7 @@ class EventGenerator {
     }
 
     /// Builds the spatial neighbour index now instead of lazily at the
-    /// first event (e.g. a Deployment pre-warming before its first round).
+    /// first event (e.g. a test pre-warming before it moves a node).
     /// Purely a latency optimisation; fire paths validate and rebuild the
     /// index on their own whenever the topology changed.
     void prime_spatial_index() { ensure_spatial_index(); }

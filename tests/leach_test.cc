@@ -5,6 +5,7 @@
 #include <set>
 
 #include "cluster/energy.h"
+#include "net/channel.h"
 
 namespace tibfit::cluster {
 namespace {
@@ -14,7 +15,6 @@ std::vector<Candidate> population(std::size_t n, double ti = 1.0, double energy 
     for (std::size_t i = 0; i < n; ++i) {
         Candidate c;
         c.id = static_cast<sim::ProcessId>(i);
-        c.position = {static_cast<double>(10 * (i % 10)), static_cast<double>(10 * (i / 10))};
         c.energy_fraction = energy;
         c.ti = ti;
         out.push_back(c);
@@ -103,27 +103,51 @@ TEST(Leach, RotationSpreadsServiceOverEpochs) {
     EXPECT_GE(served.size(), 6u);
 }
 
-TEST(Leach, AffiliationIsNearestHead) {
-    LeachElection e({0.5, 0.5}, util::Rng(17));
-    auto pop = population(4);
-    // Force exactly nodes 0 and 3 eligible.
-    pop[1].ti = 0.0;
-    pop[2].ti = 0.0;
-    pop[0].position = {0, 0};
-    pop[3].position = {100, 0};
-    pop[1].position = {10, 0};
-    pop[2].position = {90, 0};
-    ElectionResult result;
-    // Elections are randomized; retry rounds until both eligible serve.
-    for (std::uint32_t r = 0; r < 50; ++r) {
-        result = e.run_round(r, pop);
-        if (result.heads.size() == 2) break;
+// LeachRounds reads each candidate's TI from the base-station archive: with
+// the archive holding a record against nodes 0-9, none of them ever leads.
+TEST(LeachRounds, DistrustedNodesNeverLead) {
+    constexpr std::size_t kSide = 6, kNodes = kSide * kSide, kFaulty = 10;
+    sim::Simulator sim;
+    util::Rng rng(6);
+    net::Channel channel(sim, rng.stream("channel"));
+    const core::TrustParams trust;
+    std::vector<std::unique_ptr<sensor::SensorNode>> nodes;
+    std::vector<std::unique_ptr<ClusterHead>> hosts;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+        const auto id = static_cast<sim::ProcessId>(i);
+        const util::Vec2 at{100.0 / kSide * (0.5 + static_cast<double>(i % kSide)),
+                            100.0 / kSide * (0.5 + static_cast<double>(i / kSide))};
+        nodes.push_back(std::make_unique<sensor::SensorNode>(
+            sim, id, at, 20.0, net::Radio(channel, id),
+            std::make_unique<sensor::CorrectBehavior>(sensor::FaultParams{}),
+            rng.stream("node", i), trust));
+        channel.attach(*nodes.back(), at, 400.0);
     }
-    if (result.heads.size() == 2) {
-        EXPECT_EQ(result.affiliation.at(1), 0u);
-        EXPECT_EQ(result.affiliation.at(2), 3u);
+    const auto bs_id = static_cast<sim::ProcessId>(2 * kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+        const auto id = static_cast<sim::ProcessId>(kNodes + i);
+        hosts.push_back(std::make_unique<ClusterHead>(sim, id, net::Radio(channel, id),
+                                                      core::EngineConfig{}));
+        hosts.back()->set_base_station(bs_id);
+        hosts.back()->set_active(false);
+        channel.attach(*hosts.back(), nodes[i]->position(), 400.0);
     }
-    EXPECT_GE(e.times_served(0) + e.times_served(3), 1u);
+    BaseStation station(sim, bs_id, net::Radio(channel, bs_id), trust);
+    channel.attach(station, {50.0, 120.0}, 400.0);
+    for (core::NodeId f = 0; f < kFaulty; ++f) {
+        for (int k = 0; k < 5; ++k) station.archive().judge_faulty(f);
+    }
+    ASSERT_LT(station.archive().ti(0), LeachParams{}.ti_threshold);
+
+    LeachRounds rounds(sim, rng.stream("election"), {0.08}, 1.0, nodes, hosts, station);
+    rounds.start(100.0, 1200.0);
+    sim.run();
+    ASSERT_EQ(rounds.rounds().size(), 12u);
+    for (std::size_t r = 0; r < rounds.rounds().size(); ++r) {
+        for (auto h : rounds.rounds()[r].heads) {
+            EXPECT_GE(h, kFaulty) << "distrusted node " << h << " led round " << r;
+        }
+    }
 }
 
 TEST(Energy, TxRxCosts) {

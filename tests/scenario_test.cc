@@ -84,6 +84,42 @@ TEST(Scenario, ValidateRejectionTable) {
              s.location.decay_final = 0.1;
          },
          true},
+        {"leach ch_fraction outside (0, 1]",
+         [](Scenario& s) {
+             s.location.clustering = Clustering::Leach;
+             s.location.leach.ch_fraction = 0.0;
+         },
+         true},
+        {"leach ch_fraction outside (0, 1]",
+         [](Scenario& s) {
+             s.location.clustering = Clustering::Leach;
+             s.location.leach.ch_fraction = 1.5;
+         },
+         true},
+        {"leach round_duration must be > 0",
+         [](Scenario& s) {
+             s.location.clustering = Clustering::Leach;
+             s.location.leach.round_duration = 0.0;
+         },
+         true},
+        {"leach initial_energy must be > 0",
+         [](Scenario& s) {
+             s.location.clustering = Clustering::Leach;
+             s.location.leach.initial_energy = -1.0;
+         },
+         true},
+        {"leach clustering with multihop",
+         [](Scenario& s) {
+             s.location.clustering = Clustering::Leach;
+             s.location.multihop = true;
+         },
+         true},
+        {"leach clustering with mobile",
+         [](Scenario& s) {
+             s.location.clustering = Clustering::Leach;
+             s.location.mobile = true;
+         },
+         true},
         // Campaign defects surface through scenario.validate() too.
         {"window", [](Scenario& s) {
              net::ChannelFaultWindow w;
@@ -239,6 +275,13 @@ TEST(Scenario, OverrideTable) {
         {true, "check.mode", "assert", "check.mode", nullptr},
         {true, "epsilon", "0.1", "engine.collusion.epsilon", nullptr},
         {false, "seed", "9007199254740992", "seed", nullptr},  // 2^53, exact in JSON
+        {true, "clustering", "leach", "location.clustering", nullptr},
+        {true, "ch_fraction", "0.08", "location.leach.ch_fraction", nullptr},
+        {true, "location.leach.round_duration", "60", "location.leach.round_duration", nullptr},
+        {true, "initial_energy", "0.05", "location.leach.initial_energy", nullptr},
+        {true, "clustering", "dynamic", nullptr,
+         "location.clustering expects one of static|leach"},
+        {false, "clustering", "leach", nullptr, "unknown key 'clustering' for a binary scenario"},
         {false, "pct_fauly", "0.5", nullptr, "unknown key 'pct_fauly' for a binary scenario"},
         {false, "grid_layout", "false", nullptr, "unknown key 'grid_layout'"},
         {false, "engine.lambda", "0.3", nullptr, "unknown key 'engine.lambda'"},
@@ -294,7 +337,8 @@ TEST(Scenario, OverrideTable) {
 std::string other_value(const std::string& text) {
     static const std::map<std::string, std::string> kOther = {
         {"true", "false"},          {"false", "true"},     {"trust_index", "majority_vote"},
-        {"majority_vote", "trust_index"}, {"level0", "level2"}, {"off", "shadow"}};
+        {"majority_vote", "trust_index"}, {"level0", "level2"}, {"off", "shadow"},
+        {"static", "leach"}};
     if (const auto it = kOther.find(text); it != kOther.end()) return it->second;
     double v = 0.0;
     std::from_chars(text.data(), text.data() + text.size(), v);
@@ -329,7 +373,8 @@ TEST(Scenario, LeavesAreUniquePerKind) {
 
 // The pinned text of both kinds' defaults. Against the previous hand-written
 // writer it differs only by design: engine.sensing_radius is gone (runners
-// take r_s from deployment.sensing_radius) and engine.collusion is new.
+// take r_s from deployment.sensing_radius) and engine.collusion is new;
+// location.clustering and location.leach came later with LEACH runs.
 constexpr const char* kSharedGoldenTail = R"(
   "channel": {
     "drop_probability": 0.01,
@@ -465,7 +510,13 @@ TEST(Scenario, DefaultsJsonIsPinned) {
     "decay_step": 0.05,
     "decay_final": 0.75,
     "decay_epoch_events": 50,
-    "epoch_events": 50
+    "epoch_events": 50,
+    "clustering": "static",
+    "leach": {
+      "ch_fraction": 0.1,
+      "round_duration": 100,
+      "initial_energy": 1
+    }
   }
 })";
     EXPECT_EQ(to_json(Scenario::binary_defaults()), binary + workloads);
