@@ -1,7 +1,9 @@
 #include "check/reference.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/geometry.h"
 
@@ -11,15 +13,30 @@ namespace tibfit::check {
 // RefTrustTable
 // ---------------------------------------------------------------------------
 
+RefTrustTable::Entry& RefTrustTable::record(core::NodeId node) {
+    if (node == core::kNoNode) {
+        throw std::invalid_argument("RefTrustTable: cannot record history for kNoNode");
+    }
+    if (node >= entries_.size()) entries_.resize(node + 1);
+    Entry& e = entries_[node];
+    e.seen = true;  // touching marks the node seen, even at v = 0
+    return e;
+}
+
 double RefTrustTable::v(core::NodeId node) const {
-    const auto it = v_.find(node);
-    return it == v_.end() ? 0.0 : it->second;
+    return node < entries_.size() && entries_[node].seen ? entries_[node].v : 0.0;
 }
 
 double RefTrustTable::ti(core::NodeId node) const {
-    const auto it = v_.find(node);
-    if (it == v_.end()) return 1.0;
-    return std::exp(-params_.lambda * it->second);
+    if (node >= entries_.size() || !entries_[node].seen) return 1.0;
+    const Entry& e = entries_[node];
+    const auto bits = std::bit_cast<std::uint64_t>(e.v);
+    if (!e.cached || e.ti_of != bits) {
+        e.ti = std::exp(-params_.lambda * e.v);
+        e.ti_of = bits;
+        e.cached = true;
+    }
+    return e.ti;
 }
 
 bool RefTrustTable::is_isolated(core::NodeId node) const {
@@ -28,13 +45,13 @@ bool RefTrustTable::is_isolated(core::NodeId node) const {
 }
 
 void RefTrustTable::judge_correct(core::NodeId node) {
-    double& v = v_[node];  // touching marks the node seen, even at v = 0
+    double& v = record(node).v;
     v -= params_.fault_rate;
     if (v < 0.0) v = 0.0;
 }
 
 void RefTrustTable::judge_faulty(core::NodeId node) {
-    v_[node] += 1.0 - params_.fault_rate;
+    record(node).v += 1.0 - params_.fault_rate;
 }
 
 void RefTrustTable::quarantine(core::NodeId node) {
@@ -43,20 +60,24 @@ void RefTrustTable::quarantine(core::NodeId node) {
         const double capped = params_.removal_ti < 1.0 ? params_.removal_ti : 1.0;
         target_v = -std::log(capped * 0.5) / params_.lambda;
     }
-    double& v = v_[node];
+    double& v = record(node).v;
     if (v < target_v) v = target_v < 0.0 ? 0.0 : target_v;
 }
 
 void RefTrustTable::reset_from(const core::TrustManager& trust) {
     params_ = trust.params();
-    v_.clear();
+    entries_.clear();  // lambda may differ: no cached TI survives
     for (const auto& [node, v] : trust.export_v()) {
-        v_[node] = v < 0.0 ? 0.0 : v;  // same clamp as TrustManager::merge_v
+        record(node).v = v < 0.0 ? 0.0 : v;  // same clamp as TrustManager::merge_v
     }
 }
 
 std::vector<std::pair<core::NodeId, double>> RefTrustTable::export_v() const {
-    return {v_.begin(), v_.end()};  // std::map iterates ascending
+    std::vector<std::pair<core::NodeId, double>> out;
+    for (core::NodeId n = 0; n < entries_.size(); ++n) {
+        if (entries_[n].seen) out.emplace_back(n, entries_[n].v);
+    }
+    return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@
 // pipeline (Sections 3.2-3.3: K-means-style clustering + per-cluster CTI
 // vote).
 //
-// "Naive" means the data structures favour transparency — an ordered map
-// for the trust table with TI recomputed from v on every query, linear
-// membership scans, sweep-to-fixpoint component merging — NOT that the
+// "Naive" means the data structures favour transparency — linear
+// membership scans, sweep-to-fixpoint component merging, a trust table
+// that keeps nothing but v per node and derives TI from it — NOT that the
 // arithmetic may drift: the oracle compares with tolerance 0, so every
 // floating-point operation here is sequenced exactly as the optimised
 // stack sequences it (accumulation order, tie-breaking, per-cluster
@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -29,10 +29,15 @@
 
 namespace tibfit::check {
 
-/// Paper-literal trust table: node -> raw v accumulator in an ordered
-/// map; TI is recomputed as exp(-lambda*v) on every query (the optimised
-/// table memoises it — same std::exp on the same operands, so the values
-/// are bit-identical by construction).
+/// Paper-literal trust table: one raw v accumulator per node, indexed by
+/// node id (ids are small, contiguous member ids). TI is exp(-lambda*v).
+///
+/// ti() caches that value per node together with the exact bits of the v
+/// it was computed from, and recomputes whenever v's bits differ, so a
+/// cache hit returns the same std::exp of the same operands: bit-identical
+/// to recomputing by construction. lambda changes only in reset_from,
+/// which drops every entry. The table shares no code with
+/// core::TrustManager's memo, which is refreshed on mutation instead.
 class RefTrustTable {
   public:
     explicit RefTrustTable(core::TrustParams params = {}) : params_(params) {}
@@ -44,6 +49,8 @@ class RefTrustTable {
     double ti(core::NodeId node) const;
     bool is_isolated(core::NodeId node) const;
 
+    /// The mutators throw std::invalid_argument on core::kNoNode (as
+    /// core::TrustManager does) and leave the table unchanged.
     void judge_correct(core::NodeId node);
     void judge_faulty(core::NodeId node);
     /// Mirrors core::TrustManager::quarantine (including its removal_ti
@@ -58,8 +65,19 @@ class RefTrustTable {
     std::vector<std::pair<core::NodeId, double>> export_v() const;
 
   private:
+    struct Entry {
+        double v = 0.0;
+        bool seen = false;  ///< the node has recorded history
+        mutable bool cached = false;
+        mutable std::uint64_t ti_of = 0;  ///< bits of the v `ti` was computed from
+        mutable double ti = 1.0;
+    };
+
+    /// The node's entry, created (and marked seen) on first use.
+    Entry& record(core::NodeId node);
+
     core::TrustParams params_;
-    std::map<core::NodeId, double> v_;  ///< keys == nodes with history
+    std::vector<Entry> entries_;  ///< indexed by node id
 };
 
 /// Re-derives one binary-window decision (Section 3.1) from first

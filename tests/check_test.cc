@@ -1,7 +1,10 @@
 // tibfit::check — differential oracle, runtime invariants, and the
 // trust/clusterer edge-case regressions that shipped with them.
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -335,6 +338,158 @@ TEST(ShadowArbiterTest, AssertModeThrowsOnDivergence) {
     EXPECT_THROW(
         shadow.on_binary_decision(neighbours, neighbours, /*apply=*/true, d, engine.trust()),
         std::logic_error);
+}
+
+TEST(ShadowArbiterTest, TiOfUntouchedNodeIsStillCompared) {
+    // Every tracked node starts from v = 2 and goes through one decision,
+    // so every v stays positive and its TI depends on lambda.
+    core::EngineConfig cfg;
+    const core::TrustCheckpoint start{cfg.trust, {{0, 2.0}, {1, 2.0}, {2, 2.0}, {3, 2.0}}};
+    const std::vector<core::NodeId> neighbours = {0, 1, 2, 3};
+    const std::vector<core::NodeId> reporters = {0, 1, 2};
+
+    // A copy of the engine's table with every v intact and every TI wrong.
+    const auto tampered_copy = [&](const core::TrustManager& trust) {
+        core::TrustCheckpoint cp = trust.checkpoint();
+        cp.params.lambda *= 2.0;
+        core::TrustManager copy = core::TrustManager::restore(cp);
+        EXPECT_EQ(copy.export_v(), trust.export_v());
+        for (const auto& [node, v] : trust.export_v()) EXPECT_NE(copy.ti(node), trust.ti(node));
+        return copy;
+    };
+    // Nodes 8 and 9 are untracked and the decision applies no judgements,
+    // so the reference reads every tracked node's TI from its cache.
+    const std::vector<core::NodeId> untracked = {8, 9};
+    const std::vector<core::NodeId> untracked_reporters = {8};
+    core::BinaryDecision untouching;
+    untouching.event_declared = true;
+    untouching.weight_reporters = 1.0;
+    untouching.weight_silent = 1.0;
+    untouching.reporters = {8};
+    untouching.silent = {9};
+
+    for (const bool abort : {false, true}) {
+        core::DecisionEngine engine(cfg);
+        check::ShadowArbiter shadow(cfg, abort);
+        engine.set_checker(&shadow);
+        engine.adopt_trust(core::TrustManager::restore(start));
+        engine.decide_binary(neighbours, reporters);
+        shadow.on_binary_decision(untracked, untracked_reporters, /*apply=*/false, untouching,
+                                  engine.trust());
+        ASSERT_EQ(shadow.divergences(), 0u) << shadow.divergence_log().front();
+
+        const core::TrustManager copy = tampered_copy(engine.trust());
+        if (abort) {
+            EXPECT_THROW(shadow.on_binary_decision(untracked, untracked_reporters,
+                                                   /*apply=*/false, untouching, copy),
+                         std::logic_error);
+        } else {
+            shadow.on_binary_decision(untracked, untracked_reporters, /*apply=*/false,
+                                      untouching, copy);
+            ASSERT_EQ(shadow.divergences(), 1u);
+            EXPECT_NE(shadow.divergence_log().front().find("TI of node 0"), std::string::npos)
+                << shadow.divergence_log().front();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reference trust table
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// ti(n) of every tracked node is exp(-lambda*v(n)), bit for bit.
+void expect_coherent(const check::RefTrustTable& t) {
+    for (const auto& [node, v] : t.export_v()) {
+        EXPECT_EQ(v, t.v(node));
+        EXPECT_EQ(bits(t.ti(node)), bits(std::exp(-t.params().lambda * v))) << "node " << node;
+    }
+}
+
+TEST(RefTrustTableTest, CachedTiFollowsEveryMutation) {
+    core::TrustParams p;
+    p.lambda = 0.25;
+    p.fault_rate = 0.1;
+    p.removal_ti = 0.05;
+    check::RefTrustTable t(p);
+    const std::vector<core::NodeId> nodes = {7, 0, 3};
+    for (int round = 0; round < 4; ++round) {
+        for (core::NodeId n : nodes) {
+            t.judge_faulty(n);
+            expect_coherent(t);
+        }
+        t.judge_correct(nodes[round % nodes.size()]);
+        expect_coherent(t);
+    }
+    t.quarantine(3);
+    expect_coherent(t);
+    EXPECT_TRUE(t.is_isolated(3));
+
+    // Same v bits, different lambda: every cached TI must be dropped.
+    core::TrustCheckpoint cp{p, t.export_v()};
+    cp.params.lambda = 0.5;
+    const core::TrustManager other = core::TrustManager::restore(cp);
+    const auto before = t.export_v();
+    t.reset_from(other);
+    EXPECT_EQ(t.params().lambda, 0.5);
+    ASSERT_EQ(t.export_v(), before);
+    expect_coherent(t);
+    for (const auto& [node, v] : before) EXPECT_EQ(bits(t.ti(node)), bits(other.ti(node)));
+}
+
+TEST(RefTrustTableTest, ExportIsAscendingForSparseIds) {
+    check::RefTrustTable t;
+    t.judge_faulty(7);
+    t.judge_correct(0);
+    t.quarantine(3);
+    const auto out = t.export_v();
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_EQ(out[0].first, 0u);
+    EXPECT_EQ(out[1].first, 3u);
+    EXPECT_EQ(out[2].first, 7u);
+    EXPECT_EQ(out[0].second, 0.0);  // a reward at v = 0 still records history
+    EXPECT_EQ(t.v(5), 0.0);         // gaps stay untracked
+    EXPECT_EQ(t.ti(5), 1.0);
+}
+
+TEST(RefTrustTableTest, IsolationAgreesWithTrustManager) {
+    core::TrustParams p;
+    p.lambda = 0.25;
+    p.fault_rate = 0.1;
+    p.removal_ti = 0.05;
+    check::RefTrustTable ref(p);
+    core::TrustManager engine(p);
+    util::Rng rng(13);
+    const core::NodeId n_nodes = 12;
+    for (int step = 0; step < 2000; ++step) {
+        const auto node = static_cast<core::NodeId>(rng.uniform_index(n_nodes));
+        if (rng.chance(0.01)) {
+            ref.quarantine(node);
+            engine.quarantine(node);
+        } else if (rng.chance(node < 4 ? 0.6 : 0.1)) {
+            ref.judge_faulty(node);
+            engine.judge_faulty(node);
+        } else {
+            ref.judge_correct(node);
+            engine.judge_correct(node);
+        }
+        for (core::NodeId n = 0; n <= n_nodes; ++n) {
+            ASSERT_EQ(ref.is_isolated(n), engine.is_isolated(n)) << "step " << step;
+            ASSERT_EQ(bits(ref.ti(n)), bits(engine.ti(n))) << "step " << step;
+        }
+    }
+    EXPECT_EQ(ref.export_v(), engine.export_v());
+    EXPECT_FALSE(engine.isolated_nodes().empty());
+}
+
+TEST(RefTrustTableTest, MutatorsRejectNoNode) {
+    check::RefTrustTable t;
+    EXPECT_THROW(t.judge_correct(core::kNoNode), std::invalid_argument);
+    EXPECT_THROW(t.judge_faulty(core::kNoNode), std::invalid_argument);
+    EXPECT_THROW(t.quarantine(core::kNoNode), std::invalid_argument);
+    EXPECT_TRUE(t.export_v().empty());
+    EXPECT_EQ(t.ti(core::kNoNode), 1.0);
+    EXPECT_FALSE(t.is_isolated(core::kNoNode));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 #include "core/collusion_detector.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/decision_engine.h"
@@ -88,6 +92,72 @@ TEST(CollusionDetector, DuplicateReportsFromOneNodeIgnored) {
                                           report(0, {10, 10}), report(1, {10, 10})};
     const auto f = d.inspect(window);
     EXPECT_TRUE(f.suspects.empty());
+}
+
+TEST(CollusionDetector, FindingsDoNotDependOnReportOrder) {
+    // inspect() walks its components in hash order; the counters, suspect
+    // and conviction sets it builds from that walk must not notice. Each
+    // window holds three cliques (one of them a mere pair) over rotating
+    // members plus honest scatter, so every window has several
+    // components and the first permutation already convicts.
+    const NodeId n_nodes = 24;
+    util::Rng rng(17);
+    std::vector<std::vector<EventReport>> windows;
+    for (NodeId w = 0; w < 8; ++w) {
+        std::vector<EventReport> window;
+        const util::Vec2 spots[3] = {{10.0 + w, 10.0}, {40.0, 10.0 + w}, {25.0, 40.0}};
+        const std::size_t sizes[3] = {4, 3, 2};
+        NodeId next = (w * 5) % n_nodes;
+        for (int c = 0; c < 3; ++c) {
+            for (std::size_t k = 0; k < sizes[c]; ++k) {
+                window.push_back(report(next, spots[c]));
+                next = (next + 1) % n_nodes;
+            }
+        }
+        for (std::size_t k = window.size(); k < 16; ++k) {
+            window.push_back(report(next, util::Vec2{25, 25} + rng.gaussian_offset(3.0)));
+            next = (next + 1) % n_nodes;
+        }
+        windows.push_back(std::move(window));
+    }
+
+    struct Outcome {
+        std::vector<CollusionFinding> findings;
+        std::vector<std::uint32_t> node_counts;
+        std::vector<std::uint32_t> pair_counts;
+        std::vector<NodeId> convicted;
+    };
+    const auto run = [&](std::uint64_t order) {
+        CollusionDetector d;
+        Outcome out;
+        util::Rng shuffle_rng(order);
+        for (auto window : windows) {
+            if (order == 1) std::reverse(window.begin(), window.end());
+            if (order > 1) std::shuffle(window.begin(), window.end(), shuffle_rng);
+            out.findings.push_back(d.inspect(window));
+        }
+        for (NodeId a = 0; a < n_nodes; ++a) {
+            out.node_counts.push_back(d.node_count(a));
+            for (NodeId b = a + 1; b < n_nodes; ++b) out.pair_counts.push_back(d.pair_count(a, b));
+        }
+        out.convicted = d.convicted_nodes();
+        return out;
+    };
+
+    const Outcome given = run(0);
+    EXPECT_FALSE(given.convicted.empty());
+    for (std::uint64_t order = 1; order < 8; ++order) {
+        const Outcome permuted = run(order);
+        for (std::size_t w = 0; w < windows.size(); ++w) {
+            EXPECT_EQ(permuted.findings[w].suspects, given.findings[w].suspects)
+                << "order " << order << " window " << w;
+            EXPECT_EQ(permuted.findings[w].convicted, given.findings[w].convicted)
+                << "order " << order << " window " << w;
+        }
+        EXPECT_EQ(permuted.node_counts, given.node_counts) << "order " << order;
+        EXPECT_EQ(permuted.pair_counts, given.pair_counts) << "order " << order;
+        EXPECT_EQ(permuted.convicted, given.convicted) << "order " << order;
+    }
 }
 
 TEST(CollusionDetector, PenalizeQuarantinesConvicts) {
