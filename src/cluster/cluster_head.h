@@ -134,8 +134,10 @@ class ClusterHead : public sim::Process {
     void collect_location_windows();
     void note_window_opened(core::NodeId first_reporter);
     void note_decision(const DecisionRecord& rec);
-    void announce(const DecisionRecord& rec, const std::vector<core::NodeId>& judged_correct,
-                  const std::vector<core::NodeId>& judged_faulty);
+    /// Broadcasts the decision (and sends it to the base station, if set).
+    /// Both lists are moved into the payload.
+    void announce(const DecisionRecord& rec, std::vector<core::NodeId> judged_correct,
+                  std::vector<core::NodeId> judged_faulty);
 
     /// Topology as exposed to the decision engine: members keep their real
     /// position, non-members sit at an unreachable sentinel position so
@@ -158,6 +160,7 @@ class ClusterHead : public sim::Process {
     bool window_open_ = false;
     double window_opened_at_ = 0.0;
     std::vector<core::NodeId> window_reporters_;
+    std::vector<core::NodeId> binary_neighbours_;  ///< reused member list
 
     std::uint64_t next_seq_ = 0;
     std::vector<DecisionRecord> log_;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
-#include <unordered_set>
 
 #include "util/invariant.h"
 
@@ -14,19 +14,36 @@ BinaryDecision BinaryArbiter::decide(std::span<const NodeId> event_neighbours,
                                      bool apply_trust_updates) {
     const bool stateful = policy_ == DecisionPolicy::TrustIndex;
 
-    std::unordered_set<NodeId> reported(reporters.begin(), reporters.end());
+    // Mark R in the id-indexed mask. A reporter whose id lies beyond every
+    // neighbour's can sit on neither side, so the mask only has to span
+    // the neighbour ids.
+    NodeId max_id = 0;
+    for (NodeId n : event_neighbours) {
+        if (n == kNoNode) throw std::invalid_argument("BinaryArbiter: kNoNode event neighbour");
+        max_id = std::max(max_id, n);
+    }
+    if (reported_.size() <= max_id) reported_.resize(max_id + 1);
 
     BinaryDecision d;
+    d.reporters.reserve(std::min(reporters.size(), event_neighbours.size()));
+    d.silent.reserve(event_neighbours.size());
+    for (NodeId r : reporters) {
+        if (r < reported_.size()) reported_[r] = 1;
+    }
+    // Weights are summed in event_neighbours order, as the reference does.
     for (NodeId n : event_neighbours) {
         if (stateful && trust_->is_isolated(n)) continue;
         const double w = stateful ? trust_->ti(n) : 1.0;
-        if (reported.count(n)) {
+        if (reported_[n]) {
             d.reporters.push_back(n);
             d.weight_reporters += w;
         } else {
             d.silent.push_back(n);
             d.weight_silent += w;
         }
+    }
+    for (NodeId r : reporters) {
+        if (r < reported_.size()) reported_[r] = 0;
     }
     std::sort(d.reporters.begin(), d.reporters.end());
     std::sort(d.silent.begin(), d.silent.end());

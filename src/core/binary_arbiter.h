@@ -29,7 +29,8 @@ struct BinaryDecision {
     std::vector<NodeId> silent;     ///< NR after isolation filtering.
 };
 
-/// Stateless function object bound to a trust table and policy.
+/// Function object bound to a trust table and policy. Its only state is a
+/// reusable membership mask that every decide() call leaves all-clear.
 class BinaryArbiter {
   public:
     /// The arbiter holds a reference to the CH's trust table; the caller
@@ -47,6 +48,11 @@ class BinaryArbiter {
     ///
     /// When `apply_trust_updates` is true and the policy is TrustIndex, the
     /// winning side is judged correct and the losing side faulty.
+    ///
+    /// Costs O(neighbours + reporters) and, once the mask covers the
+    /// cluster's ids, allocates only the two result vectors. Throws
+    /// std::invalid_argument on a kNoNode neighbour (the id-indexed mask
+    /// must never be asked to span 2^32 entries).
     BinaryDecision decide(std::span<const NodeId> event_neighbours,
                           std::span<const NodeId> reporters,
                           bool apply_trust_updates = true);
@@ -54,6 +60,10 @@ class BinaryArbiter {
   private:
     TrustManager* trust_;
     DecisionPolicy policy_;
+    /// reported_[n] != 0 while decide() partitions: n is in `reporters`.
+    /// Sized to the largest neighbour id seen, and cleared right after the
+    /// partition, so no membership outlives its call.
+    std::vector<unsigned char> reported_;
 };
 
 }  // namespace tibfit::core

@@ -55,6 +55,7 @@ void Channel::remove_monitor(sim::ProcessId monitor, sim::ProcessId target) {
 }
 
 void Channel::snoop(std::uint32_t slot, const Endpoint& src) {
+    if (monitors_.empty()) return;  // no shadow CHs: skip both lookups
     const Packet& packet = slots_[slot].packet;
     // Copies for monitors of either endpoint of a unicast.
     for (sim::ProcessId watched : {packet.src, packet.dst}) {
@@ -142,7 +143,7 @@ double Channel::sender_drop_probability(const Endpoint& sender) const {
     return sender.drop_override >= 0.0 ? sender.drop_override : params_.drop_probability;
 }
 
-std::uint32_t Channel::store(Packet packet) {
+std::uint32_t Channel::store(Packet&& packet) {
     std::uint32_t slot;
     if (free_slots_.empty()) {
         slot = static_cast<std::uint32_t>(slots_.size());
@@ -226,7 +227,7 @@ void Channel::fire(const Delivery& d) {
     release(d.slot);
 }
 
-bool Channel::unicast(Packet packet) {
+bool Channel::unicast(Packet&& packet) {
     auto src_it = endpoints_.find(packet.src);
     if (src_it == endpoints_.end()) throw std::out_of_range("Channel::unicast: unknown sender");
     auto dst_it = endpoints_.find(packet.dst);
@@ -284,7 +285,7 @@ bool Channel::send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst
     return true;
 }
 
-std::size_t Channel::broadcast(Packet packet) {
+std::size_t Channel::broadcast(Packet&& packet) {
     auto src_it = endpoints_.find(packet.src);
     if (src_it == endpoints_.end()) throw std::out_of_range("Channel::broadcast: unknown sender");
     const Endpoint& src = src_it->second;

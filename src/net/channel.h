@@ -89,13 +89,15 @@ class Channel {
 
     /// Sends to one destination. The packet is lost if the destination is
     /// detached, out of the sender's radio range, or the loss coin fires.
-    /// Returns true if delivery was scheduled.
-    bool unicast(Packet packet);
+    /// Returns true if delivery was scheduled. Taking the packet by rvalue
+    /// reference means it is moved exactly once, into its slot; a caller
+    /// that keeps its packet passes `Packet(p)`.
+    bool unicast(Packet&& packet);
 
     /// Sends to every other attached process within the sender's radio
     /// range, with an independent loss coin per receiver. Returns the
-    /// number of deliveries scheduled.
-    std::size_t broadcast(Packet packet);
+    /// number of deliveries scheduled. The packet is moved as in unicast().
+    std::size_t broadcast(Packet&& packet);
 
     /// Installs an injected-fault schedule. `rng` must be a dedicated
     /// substream (never the stream natural loss draws from): injection
@@ -163,7 +165,7 @@ class Channel {
 
     double sender_drop_probability(const Endpoint& sender) const;
     /// Moves `packet` into a free slot holding one reference (the send's).
-    std::uint32_t store(Packet packet);
+    std::uint32_t store(Packet&& packet);
     /// Drops one reference; the last one frees the slot for reuse.
     void release(std::uint32_t slot);
     void deliver(Endpoint& to, std::uint32_t slot, double dist, double extra_delay = 0.0);

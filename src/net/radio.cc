@@ -2,7 +2,7 @@
 
 namespace tibfit::net {
 
-bool Radio::send(sim::ProcessId dst, Payload payload) {
+bool Radio::send(sim::ProcessId dst, Payload&& payload) {
     Packet p;
     p.src = id_;
     p.dst = dst;
@@ -13,7 +13,7 @@ bool Radio::send(sim::ProcessId dst, Payload payload) {
     return ok;
 }
 
-std::size_t Radio::broadcast(Payload payload) {
+std::size_t Radio::broadcast(Payload&& payload) {
     Packet p;
     p.src = id_;
     p.payload = std::move(payload);

@@ -20,10 +20,12 @@ class Radio {
     Channel& channel() const { return *channel_; }
 
     /// Sends `payload` to `dst`. Returns true if delivery was scheduled.
-    bool send(sim::ProcessId dst, Payload payload);
+    /// The payload is moved once, into the packet the channel stores.
+    bool send(sim::ProcessId dst, Payload&& payload);
 
     /// Broadcasts `payload` to everyone in range; returns deliveries.
-    std::size_t broadcast(Payload payload);
+    /// Moved like send(): a caller that keeps its payload passes a copy.
+    std::size_t broadcast(Payload&& payload);
 
     std::size_t sent() const { return sent_; }
     std::size_t send_failures() const { return failures_; }

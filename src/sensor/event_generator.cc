@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace tibfit::sensor {
 
@@ -18,11 +19,13 @@ util::Vec2 EventGenerator::draw_location() const { return rng_.point_in_rect(fie
 void EventGenerator::schedule_events(std::size_t count, double interval, double start,
                                      std::size_t burst, double min_separation) {
     if (burst == 0) throw std::invalid_argument("EventGenerator: burst must be >= 1");
+    std::vector<util::Vec2> locs;
+    locs.reserve(burst);
     for (std::size_t i = 0; i < count; ++i) {
         const double at = start + interval * static_cast<double>(i);
         // Draw the burst's locations now (deterministic order), enforcing
         // pairwise separation by rejection sampling.
-        std::vector<util::Vec2> locs;
+        locs.clear();
         for (std::size_t b = 0; b < burst; ++b) {
             util::Vec2 loc;
             for (int attempt = 0;; ++attempt) {
@@ -104,6 +107,7 @@ void EventGenerator::fire_event(const util::Vec2& location) {
             }
         }
         std::sort(hits_.begin(), hits_.end());
+        ev.event_neighbours.reserve(hits_.size());
         for (std::size_t i : hits_) ev.event_neighbours.push_back(nodes_[i]->id());
     } else {
         // Degenerate topology (no positive sensing radius): the grid has no
@@ -117,9 +121,10 @@ void EventGenerator::fire_event(const util::Vec2& location) {
             }
         }
     }
-    history_.push_back(ev);
+    const std::uint64_t id = ev.id;
+    history_.push_back(std::move(ev));
     if (event_cb_) event_cb_(history_.back());
-    for (std::size_t i : hits_) nodes_[i]->on_event(ev.id, location);
+    for (std::size_t i : hits_) nodes_[i]->on_event(id, location);
 }
 
 void EventGenerator::fire_quiet(double spread) {

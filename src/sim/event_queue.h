@@ -11,6 +11,10 @@
 // The pre-arena design kept one heap-allocated std::function plus a dead_
 // flag alive per event *ever pushed*, so a million-event trial held a
 // million dead function objects by the end.
+//
+// Every Simulator::schedule / schedule_at reaches push(Time, F&&), which
+// builds the callable once, directly in its arena slot: no EventCallback
+// temporary is made and relocated on the way in.
 #pragma once
 
 #include <algorithm>
@@ -40,6 +44,14 @@ using Time = double;
 /// cancelled, even after its slot has been recycled by a later push — can
 /// never cancel the wrong event.
 using EventId = std::uint64_t;
+
+class EventCallback;
+
+/// True for a callable that schedules as an event action: invocable as
+/// `void()` and not itself an EventCallback (which moves, not wraps).
+template <typename F, typename D = std::decay_t<F>>
+inline constexpr bool kSchedulable =
+    !std::is_same_v<D, EventCallback> && std::is_invocable_r_v<void, D&>;
 
 namespace detail {
 
@@ -98,9 +110,7 @@ class EventCallback {
 
     EventCallback() = default;
 
-    template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, EventCallback> &&
-                                          std::is_invocable_r_v<void, D&>>>
+    template <typename F, typename = std::enable_if_t<kSchedulable<F>>>
     EventCallback(F&& f) {  // NOLINT(google-explicit-constructor)
         construct(std::forward<F>(f));
     }
@@ -108,9 +118,7 @@ class EventCallback {
     /// Destroys any held callable and constructs a new one in place — the
     /// path EventQueue uses to build an action directly in its arena slot
     /// with no intermediate EventCallback object to relocate.
-    template <typename F, typename D = std::decay_t<F>,
-              typename = std::enable_if_t<!std::is_same_v<D, EventCallback> &&
-                                          std::is_invocable_r_v<void, D&>>>
+    template <typename F, typename = std::enable_if_t<kSchedulable<F>>>
     void emplace(F&& f) {
         reset();
         construct(std::forward<F>(f));
@@ -187,27 +195,27 @@ class EventCallback {
 };
 
 /// Min-heap of (time, seq) -> action with lazy cancellation and slot
-/// recycling. All hot methods are defined inline below: the queue sits on
+/// recycling. The hot methods are defined inline below: the queue sits on
 /// the innermost simulator loop, and keeping push/pop visible to the
-/// caller's TU (no LTO required) is worth several ns per event.
+/// caller's TU (no LTO required) is worth several ns per event. Only
+/// push's type-independent tail, commit_push, is out of line.
 class EventQueue {
   public:
-    /// Schedules `action` at absolute time `at`; returns a cancellation id.
-    /// Throws std::invalid_argument on an empty action.
-    EventId push(Time at, EventCallback action) {
-        const std::uint32_t slot = acquire_slot();
-        slots_[slot].action = std::move(action);
-        return commit_push(at, slot);
-    }
-
-    /// Same, but constructs the action in place in its arena slot — the
-    /// zero-copy path for scheduling a lambda directly.
-    template <typename F,
-              typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, EventCallback> &&
-                                          std::is_invocable_r_v<void, std::decay_t<F>&>>>
+    /// Schedules `f` at absolute time `at`; returns a cancellation id.
+    /// The callable is constructed once, in place in its arena slot — the
+    /// zero-copy path every Simulator::schedule takes. Throws
+    /// std::invalid_argument on an empty std::function; if that check or
+    /// the callable's construction throws, nothing is queued and the slot
+    /// goes back to the free list.
+    template <typename F, typename = std::enable_if_t<kSchedulable<F>>>
     EventId push(Time at, F&& f) {
         const std::uint32_t slot = acquire_slot();
-        slots_[slot].action.emplace(std::forward<F>(f));
+        try {
+            slots_[slot].action.emplace(std::forward<F>(f));
+        } catch (...) {
+            free_.push_back(slot);
+            throw;
+        }
         return commit_push(at, slot);
     }
 
@@ -321,10 +329,12 @@ class EventQueue {
             free_.pop_back();
             return slot;
         }
-        const auto slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
-        return slot;
+        return grow_arena();
     }
+
+    /// Appends a fresh slot (the cold path of acquire_slot: the arena only
+    /// grows up to the queue's high water). Out of line in event_queue.cc.
+    std::uint32_t grow_arena();
 
     /// Validates the acquired slot's action (throwing like the historical
     /// push-site check on an empty one), marks it live and heaps the entry.
@@ -332,19 +342,10 @@ class EventQueue {
     /// far from the buggy push site — and cancel() on it returned false
     /// while the event stayed live; now the acquired slot goes straight
     /// back to the free list (no id was handed out, nothing to invalidate).
-    EventId commit_push(Time at, std::uint32_t slot) {
-        Slot& s = slots_[slot];
-        if (!s.action) {
-            free_.push_back(slot);
-            throw std::invalid_argument("EventQueue::push: empty action");
-        }
-        assert(slot <= kSlotMask && "arena exceeded 2^24 concurrent events");
-        const EventId key = (next_seq_++ << kSlotBits) | slot;
-        s.key = key;
-        heap_push(Entry{at, key});
-        ++live_;
-        return key;
-    }
+    /// Defined out of line (event_queue.cc): it does not depend on the
+    /// callable's type, and inlining it into every push<F> instantiation
+    /// only grows the text.
+    EventId commit_push(Time at, std::uint32_t slot);
 
     /// Destroys the slot's action and returns it to the free list. The
     /// slot's key goes to 0, so every outstanding EventId for it is

@@ -2,6 +2,9 @@
 // Replaces ns-2 as the scheduling substrate (see DESIGN.md §2).
 #pragma once
 
+#include <stdexcept>
+#include <utility>
+
 #include "sim/event_queue.h"
 
 namespace tibfit::sim {
@@ -34,13 +37,25 @@ class Simulator {
     /// Current virtual time.
     Time now() const { return now_; }
 
-    /// Schedules `action` after `delay` (>= 0) from now. Small closures
-    /// are stored inline in the event arena (see EventCallback) — the
-    /// common path performs no heap allocation.
-    Timer schedule(Time delay, EventCallback action);
+    /// Schedules `action` after `delay` (>= 0) from now. The callable is
+    /// forwarded, never copied or wrapped, to EventQueue::push(Time, F&&),
+    /// which constructs it once in its arena slot; small closures are
+    /// stored inline there (see EventCallback), so the common path
+    /// performs no heap allocation.
+    template <typename F, typename = std::enable_if_t<kSchedulable<F>>>
+    Timer schedule(Time delay, F&& action) {
+        if (delay < 0.0) throw std::invalid_argument("Simulator::schedule: negative delay");
+        return schedule_at(now_ + delay, std::forward<F>(action));
+    }
 
     /// Schedules `action` at absolute time `at` (>= now()).
-    Timer schedule_at(Time at, EventCallback action);
+    template <typename F, typename = std::enable_if_t<kSchedulable<F>>>
+    Timer schedule_at(Time at, F&& action) {
+        if (at < now_) throw std::invalid_argument("Simulator::schedule_at: time in the past");
+        const EventId id = queue_.push(at, std::forward<F>(action));
+        if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
+        return Timer(id, true);
+    }
 
     /// Cancels a pending timer. Returns false if it already fired or was
     /// cancelled. The handle is disarmed either way.

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <stdexcept>
+#include <unordered_set>
+#include <vector>
+
 #include "core/baseline_voter.h"
+#include "util/rng.h"
 
 namespace tibfit::core {
 namespace {
@@ -116,6 +123,93 @@ TEST(BinaryArbiter, OutputsSorted) {
     EXPECT_LT(d.reporters[0], d.reporters[1]);
     ASSERT_EQ(d.silent.size(), 2u);
     EXPECT_LT(d.silent[0], d.silent[1]);
+}
+
+/// The partition as decide() computed it with a per-call hash set of
+/// reporters: the naive reference the membership mask must reproduce.
+BinaryDecision hash_set_partition(const TrustManager& tm, DecisionPolicy policy,
+                                  const std::vector<NodeId>& neighbours,
+                                  const std::vector<NodeId>& reporters) {
+    const bool stateful = policy == DecisionPolicy::TrustIndex;
+    const std::unordered_set<NodeId> reported(reporters.begin(), reporters.end());
+    BinaryDecision d;
+    for (NodeId n : neighbours) {
+        if (stateful && tm.is_isolated(n)) continue;
+        const double w = stateful ? tm.ti(n) : 1.0;
+        if (reported.count(n)) {
+            d.reporters.push_back(n);
+            d.weight_reporters += w;
+        } else {
+            d.silent.push_back(n);
+            d.weight_silent += w;
+        }
+    }
+    std::sort(d.reporters.begin(), d.reporters.end());
+    std::sort(d.silent.begin(), d.silent.end());
+    d.event_declared = d.weight_reporters >= d.weight_silent;
+    return d;
+}
+
+TEST(BinaryArbiter, MatchesHashSetReference) {
+    // Seeded differential run: unsorted neighbour subsets, reporters drawn
+    // with repeats and from beyond the neighbour ids, trust updates on so
+    // nodes become isolated, both policies on one reused arbiter each.
+    constexpr NodeId kPopulation = 24;
+    auto p = params();
+    p.removal_ti = 0.5;
+    TrustManager tm(p);
+    BinaryArbiter tibfit(tm, DecisionPolicy::TrustIndex);
+    BinaryArbiter majority(tm, DecisionPolicy::MajorityVote);
+    util::Rng rng(1203);
+    std::vector<NodeId> population(kPopulation);
+    std::iota(population.begin(), population.end(), 0);
+    std::size_t isolated_seen = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        SCOPED_TRACE(trial);
+        std::shuffle(population.begin(), population.end(), rng);
+        const std::vector<NodeId> neighbours(
+            population.begin(),
+            population.begin() + static_cast<std::ptrdiff_t>(rng.uniform_index(kPopulation + 1)));
+        std::vector<NodeId> reporters(rng.uniform_index(2 * kPopulation));
+        for (NodeId& r : reporters) r = static_cast<NodeId>(rng.uniform_index(kPopulation + 8));
+        for (NodeId n : neighbours) isolated_seen += tm.is_isolated(n) ? 1 : 0;
+
+        for (BinaryArbiter* arb : {&majority, &tibfit}) {
+            const BinaryDecision want = hash_set_partition(tm, arb->policy(), neighbours, reporters);
+            const BinaryDecision got = arb->decide(neighbours, reporters, true);
+            EXPECT_EQ(got.reporters, want.reporters);
+            EXPECT_EQ(got.silent, want.silent);
+            // Bit-equal: both sum the same TIs in neighbour order.
+            EXPECT_EQ(got.weight_reporters, want.weight_reporters);
+            EXPECT_EQ(got.weight_silent, want.weight_silent);
+            EXPECT_EQ(got.event_declared, want.event_declared);
+        }
+    }
+    EXPECT_GT(isolated_seen, 0u);
+}
+
+TEST(BinaryArbiter, ReusedArbiterForgetsPreviousReporters) {
+    TrustManager tm(params());
+    BinaryArbiter arb(tm, DecisionPolicy::TrustIndex);
+    const std::vector<NodeId> wide{9, 3, 0, 5, 1};
+    const std::vector<NodeId> narrow{1, 0, 3};
+    auto d = arb.decide(wide, std::vector<NodeId>{9, 3, 0, 5, 1}, false);
+    EXPECT_EQ(d.silent.size(), 0u);
+
+    // Nobody reports now: every earlier reporter must land in NR, also the
+    // ones whose ids lie past this call's neighbours.
+    d = arb.decide(narrow, std::vector<NodeId>{}, false);
+    EXPECT_TRUE(d.reporters.empty());
+    EXPECT_EQ(d.silent, (std::vector<NodeId>{0, 1, 3}));
+    d = arb.decide(wide, std::vector<NodeId>{5}, false);
+    EXPECT_EQ(d.reporters, (std::vector<NodeId>{5}));
+    EXPECT_EQ(d.silent, (std::vector<NodeId>{0, 1, 3, 9}));
+
+    // A throwing call leaves no membership behind either.
+    EXPECT_THROW(arb.decide(std::vector<NodeId>{0, kNoNode}, std::vector<NodeId>{0}, false),
+                 std::invalid_argument);
+    d = arb.decide(narrow, std::vector<NodeId>{}, false);
+    EXPECT_TRUE(d.reporters.empty());
 }
 
 TEST(BaselineVoter, ConvenienceMatchesArbiter) {

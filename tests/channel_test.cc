@@ -110,7 +110,7 @@ TEST_F(ChannelTest, UnknownDestinationNotDelivered) {
 TEST_F(ChannelTest, UnknownSenderThrows) {
     EXPECT_THROW(channel_.unicast(report_packet(42, 0)), std::out_of_range);
     Packet p = report_packet(42, kBroadcast);
-    EXPECT_THROW(channel_.broadcast(p), std::out_of_range);
+    EXPECT_THROW(channel_.broadcast(Packet(p)), std::out_of_range);
 }
 
 TEST_F(ChannelTest, BroadcastReachesAllInRange) {
@@ -120,7 +120,7 @@ TEST_F(ChannelTest, BroadcastReachesAllInRange) {
     channel_.attach(c, {20, 0}, 50.0);
     channel_.attach(far, {500, 0}, 50.0);
     Packet p = report_packet(0, kBroadcast);
-    EXPECT_EQ(channel_.broadcast(p), 2u);
+    EXPECT_EQ(channel_.broadcast(Packet(p)), 2u);
     simulator_.run();
     EXPECT_EQ(b.received.size(), 1u);
     EXPECT_EQ(c.received.size(), 1u);

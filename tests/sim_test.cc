@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -129,6 +131,41 @@ TEST(EventQueue, CancelledHeadDoesNotBlockNextTime) {
     EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
 }
 
+/// A callable whose copy throws; passed as an lvalue it is copied into its
+/// arena slot, so the throw happens after push has taken the slot.
+struct ThrowOnCopy {
+    ThrowOnCopy() = default;
+    ThrowOnCopy(const ThrowOnCopy&) { throw std::runtime_error("copy"); }
+    ThrowOnCopy(ThrowOnCopy&&) noexcept = default;
+    void operator()() const {}
+};
+
+TEST(EventQueue, ThrowingConstructionLeavesQueueUnchanged) {
+    // push builds the callable in a slot it has already taken; a throw
+    // there must give the slot back, or it leaks for the queue's life.
+    EventQueue q;
+    q.push(1.0, [] {});
+    q.pop().second();
+    ASSERT_EQ(q.slot_count(), 1u);
+    const ThrowOnCopy bad;
+    EXPECT_THROW(q.push(2.0, bad), std::runtime_error);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.slot_count(), 1u);
+    int fired = 0;
+    q.push(3.0, [&] { ++fired; });
+    EXPECT_EQ(q.slot_count(), 1u) << "the slot the throwing push took must be free again";
+    while (!q.empty()) q.pop().second();
+    EXPECT_EQ(fired, 1);
+
+    Simulator s;
+    s.schedule(1.0, [] {});
+    EXPECT_THROW(s.schedule(0.5, bad), std::runtime_error);
+    EXPECT_THROW(s.schedule_at(2.0, bad), std::runtime_error);
+    EXPECT_EQ(s.pending(), 1u);
+    EXPECT_EQ(s.queue_high_water(), 1u);
+    EXPECT_EQ(s.run(), 1u);
+}
+
 TEST(Simulator, ClockAdvancesMonotonically) {
     Simulator s;
     std::vector<double> times;
@@ -147,6 +184,71 @@ TEST(Simulator, RejectsPastAndNegative) {
     s.run();
     EXPECT_THROW(s.schedule_at(1.0, [] {}), std::invalid_argument);
     EXPECT_THROW(s.schedule(0.5, std::function<void()>{}), std::invalid_argument);
+}
+
+struct Ledger {
+    int copies = 0;
+    int moves = 0;
+    int runs = 0;
+    int copies_at_run = -1;
+    int moves_at_run = -1;
+};
+
+/// Counts its copies and moves in a ledger, and snapshots the ledger when
+/// it runs. Its noexcept move keeps it on EventCallback's inline path,
+/// like every scheduling lambda of the simulator.
+struct CountedAction {
+    Ledger* ledger;
+    explicit CountedAction(Ledger* l) : ledger(l) {}
+    CountedAction(const CountedAction& o) noexcept : ledger(o.ledger) { ++ledger->copies; }
+    CountedAction(CountedAction&& o) noexcept : ledger(o.ledger) { ++ledger->moves; }
+    CountedAction& operator=(const CountedAction&) = delete;
+    CountedAction& operator=(CountedAction&&) = delete;
+    void operator()() const {
+        ++ledger->runs;
+        ledger->copies_at_run = ledger->copies;
+        ledger->moves_at_run = ledger->moves;
+    }
+};
+
+TEST(Simulator, ScheduleBuildsCallableInPlace) {
+    // schedule and schedule_at forward the callable to its arena slot: it
+    // is never copied and is moved once, from the caller's temporary into
+    // the slot. pop() relocates an inline action once more, out of its
+    // slot, because the slot must be free (and the arena free to grow)
+    // while the action runs; that is the only other move.
+    for (const bool absolute : {false, true}) {
+        SCOPED_TRACE(absolute ? "schedule_at" : "schedule");
+        Ledger ledger;
+        Simulator s;
+        if (absolute) {
+            s.schedule_at(1.0, CountedAction(&ledger));
+        } else {
+            s.schedule(1.0, CountedAction(&ledger));
+        }
+        EXPECT_EQ(ledger.copies, 0);
+        EXPECT_LE(ledger.moves, 1);
+        EXPECT_EQ(s.run(), 1u);
+        EXPECT_EQ(ledger.runs, 1);
+        EXPECT_EQ(ledger.copies_at_run, 0);
+        EXPECT_LE(ledger.moves_at_run, 2);
+    }
+}
+
+TEST(Simulator, EmptyStdFunctionIsStillRejected) {
+    // The forwarding overloads build the action in its slot; an empty
+    // std::function must still be refused there, with nothing queued.
+    static_assert(kSchedulable<std::function<void()>&>);
+    Simulator s;
+    s.schedule(1.0, [] {});
+    const std::size_t pending = s.pending();
+    const std::size_t high_water = s.queue_high_water();
+    const std::function<void()> empty;
+    EXPECT_THROW(s.schedule(0.5, empty), std::invalid_argument);
+    EXPECT_THROW(s.schedule_at(2.0, std::function<void()>{}), std::invalid_argument);
+    EXPECT_EQ(s.pending(), pending);
+    EXPECT_EQ(s.queue_high_water(), high_water);
+    EXPECT_EQ(s.run(), 1u);
 }
 
 TEST(Simulator, NestedScheduling) {
