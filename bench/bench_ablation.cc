@@ -83,8 +83,7 @@ int main(int argc, char** argv) {
     t.row({"level 2: plain cg -> trust-weighted cg",
            util::Table::num(acc[l2], 3) + " -> " + util::Table::num(acc[l2 + 1], 3)});
     io.emit(t);
-    io.params()
-        .set("pct_faulty", base.location.pct_faulty)
-        .set("events", static_cast<long>(base.location.events));
+    io.param("pct_faulty", base.location.pct_faulty)
+        .param("events", base.location.events);
     return io.finish(base);
 }

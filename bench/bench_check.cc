@@ -115,11 +115,10 @@ int main(int argc, char** argv) {
     }
     io.emit(t);
 
-    io.params()
-        .set("pct_faulty", binary.binary.pct_faulty)
-        .set("checked", static_cast<double>(total_checked))
-        .set("divergences", static_cast<double>(total_divergences))
-        .set("invariant_violations", static_cast<double>(total_violations));
+    io.param("pct_faulty", binary.binary.pct_faulty)
+        .param("checked", static_cast<double>(total_checked))
+        .param("divergences", static_cast<double>(total_divergences))
+        .param("invariant_violations", static_cast<double>(total_violations));
     // The instrumented artifact run is a shadow run, so the
     // check.decisions_checked / check.divergences counters land in the JSON
     // for CI to gate on.

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("collusion_defense", true);
+    io.param("pct_faulty", 0.3).param("collusion_defense", true);
     exp::Scenario rep = base;
     rep.location.pct_faulty = 0.3;
     rep.engine.collusion_defense = true;

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         t.row_values({100.0 * pct[i], acc[3 * i], acc[3 * i + 1], acc[3 * i + 2]}, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3);
+    io.param("pct_faulty", 0.3);
     exp::Scenario rep = dedicated;
     rep.location.pct_faulty = 0.3;
     return io.finish(rep);

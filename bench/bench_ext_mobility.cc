@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("mobile", true);
+    io.param("pct_faulty", 0.3).param("mobile", true);
     exp::Scenario rep = base;
     rep.location.pct_faulty = 0.3;
     rep.location.mobile = true;

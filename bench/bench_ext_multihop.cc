@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("multihop", true).set("radio_range", 30.0);
+    io.param("pct_faulty", 0.3).param("multihop", true).param("radio_range", 30.0);
     exp::Scenario rep = base;
     rep.location.pct_faulty = 0.3;
     rep.location.multihop = true;

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.6).set("corrupt_ch", true).set("use_shadows", true);
+    io.param("pct_faulty", 0.6).param("corrupt_ch", true).param("use_shadows", true);
     exp::Scenario rep = base;
     rep.binary.pct_faulty = 0.6;
     rep.binary.corrupt_ch = true;

@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
         loc.row_values(row, 3);
     }
     io.emit(loc);
-    io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01);
+    io.param("pct_faulty", 0.5).param("correct_ner", 0.01);
     exp::Scenario rep = sim_cfg;
     rep.binary.pct_faulty = 0.5;
     rep.faults.natural_error_rate = 0.01;

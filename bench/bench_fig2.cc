@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01);
+    io.param("pct_faulty", 0.5).param("correct_ner", 0.01);
     exp::Scenario rep = base;
     rep.binary.pct_faulty = 0.5;
     rep.faults.natural_error_rate = 0.01;

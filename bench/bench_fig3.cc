@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.5).set("false_alarm_rate", 0.10);
+    io.param("pct_faulty", 0.5).param("false_alarm_rate", 0.10);
     exp::Scenario rep = base;
     rep.binary.pct_faulty = 0.5;
     rep.faults.false_alarm_rate = 0.10;

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("correct_sigma", 1.6).set("faulty_sigma", 4.25);
+    io.param("pct_faulty", 0.3).param("correct_sigma", 1.6).param("faulty_sigma", 4.25);
     exp::Scenario rep = base;
     rep.location.pct_faulty = 0.3;
     rep.faults.correct_sigma = 1.6;

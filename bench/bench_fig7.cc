@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("burst", 2);
+    io.param("pct_faulty", 0.3).param("burst", 2);
     exp::Scenario rep = base;
     rep.location.pct_faulty = 0.3;
     rep.faults.correct_sigma = 1.6;

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("correct_sigma", 1.6).set("faulty_sigma", 4.25).set("decay", true);
+    io.param("correct_sigma", 1.6).param("faulty_sigma", 4.25).param("decay", true);
     exp::Scenario rep = base;
     rep.faults.correct_sigma = 1.6;
     rep.faults.faulty_sigma = 4.25;

@@ -346,7 +346,7 @@ int main(int argc, char** argv) {
 
     // Workload sizes; scale=<f> shrinks/expands everything for smoke runs.
     const double scale = [&io] {
-        const double s = io.params().get_double("scale", 1.0);
+        const double s = io.option("scale", 1.0, "multiplier on every workload size");
         return s > 0.0 ? s : 1.0;
     }();
     const auto scaled = [scale](std::size_t n) {
@@ -359,9 +359,13 @@ int main(int argc, char** argv) {
     // event), where per-event allocation — the thing the arena removes —
     // is the dominant cost rather than heap reheapification.
     const std::size_t kQueueRounds = scaled(static_cast<std::size_t>(
-        std::max(1L, io.params().get_int("queue_rounds", 16000))));
+        std::max(1L, io.option("queue_rounds", 16000, "event-queue rounds (before scale)"))));
     const std::size_t kQueueBatch = static_cast<std::size_t>(
-        std::max(1L, io.params().get_int("queue_batch", 32)));
+        std::max(1L, io.option("queue_batch", 32, "events pending per queue round")));
+    if (io.help_requested()) {
+        io.print_help();
+        return 0;
+    }
     const std::size_t kCtiNodes = 100;
     const std::size_t kCtiIters = scaled(100000);
     const std::size_t kNeighbourIters = scaled(20000);
@@ -434,13 +438,12 @@ int main(int argc, char** argv) {
     }
 
     io.emit(t);
-    io.params()
-        .set("queue_rounds", static_cast<long>(kQueueRounds))
-        .set("queue_batch", static_cast<long>(kQueueBatch))
-        .set("cti_nodes", static_cast<long>(kCtiNodes))
-        .set("cti_iters", static_cast<long>(kCtiIters))
-        .set("neighbour_iters", static_cast<long>(kNeighbourIters))
-        .set("radius", kRadius);
+    io.param("queue_rounds", kQueueRounds)
+        .param("queue_batch", kQueueBatch)
+        .param("cti_nodes", kCtiNodes)
+        .param("cti_iters", kCtiIters)
+        .param("neighbour_iters", kNeighbourIters)
+        .param("radius", kRadius);
 
     const int rc = io.finish();
     return ok ? rc : 1;

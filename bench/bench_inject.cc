@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
         io.emit(c);
     }
 
-    io.params().set("events", static_cast<long>(events)).set("pct_faulty", 0.4);
+    io.param("events", events).param("pct_faulty", 0.4);
     // Representative instrumented run: the warm-handoff failover arm (or
     // the replayed campaign when one was given), so the artifact's registry
     // carries the inject.* counters the CI golden gates on.

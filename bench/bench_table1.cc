@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                      3);
     }
     io.emit(v);
-    io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01).set("seed", 1);
+    io.param("pct_faulty", 0.5).param("correct_ner", 0.01).param("seed", 1);
     exp::Scenario rep = c;
     rep.binary.pct_faulty = 0.5;
     rep.faults.natural_error_rate = 0.01;

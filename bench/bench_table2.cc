@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
         e.row_values({sigma, analysis::rayleigh_exceed(c.engine.r_error, sigma)}, 4);
     }
     io.emit(e);
-    io.params().set("pct_faulty", 0.3).set("events", 50).set("seed", 1);
+    io.param("pct_faulty", 0.3).param("events", 50).param("seed", 1);
     exp::Scenario rep = c;
     rep.location.pct_faulty = 0.3;
     rep.location.events = 50;

@@ -16,19 +16,18 @@
 #include "cluster/base_station.h"
 #include "cluster/cluster_head.h"
 #include "cluster/shadow.h"
+#include "exp/scenario.h"
 #include "net/channel.h"
 #include "sensor/fault_model.h"
 #include "sensor/sensor_node.h"
 #include "sim/simulator.h"
-#include "util/config.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto events = static_cast<std::size_t>(args.get_int("events", 20));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+    std::size_t events = 20;
+    std::uint64_t seed = 5;
+    exp::apply_knobs(argc, argv, {{"events", &events}, {"seed", &seed}});
 
     sim::Simulator simulator;
     util::Rng root(seed);

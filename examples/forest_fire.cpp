@@ -9,32 +9,29 @@
 // keeping detection accurate, then diagnoses the compromised sensors by
 // their trust index.
 //
-// Usage: ./forest_fire [events=100] [faulty=6] [seed=7]
+// Usage: ./forest_fire [events=100] [pct_faulty=0.6] [seed=7]
 #include <cstdio>
 
 #include "exp/binary_experiment.h"
-#include "util/config.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-
     exp::Scenario cfg = exp::Scenario::binary_defaults();
     cfg.binary.n_nodes = 10;
-    cfg.binary.events = static_cast<std::size_t>(args.get_int("events", 100));
-    cfg.binary.pct_faulty = static_cast<double>(args.get_int("faulty", 6)) / 10.0;
+    cfg.binary.events = 100;
+    cfg.binary.pct_faulty = 0.6;
     cfg.faults.natural_error_rate = 0.01;  // honest sensors still glitch occasionally
     cfg.faults.missed_alarm_rate = 0.5;    // compromised sensors suppress half the fires
     cfg.faults.false_alarm_rate = 0.3;     // ... and cry wolf
     cfg.engine.trust.lambda = 0.1;
     cfg.engine.trust.removal_ti = 0.05;  // diagnose and ignore hopeless sensors
     cfg.channel.drop_probability = 0.01;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    cfg.seed = 7;
+    exp::apply_knobs(argc, argv, {{"events", &cfg}, {"pct_faulty", &cfg}, {"seed", &cfg}});
 
     std::printf("Forest-fire watch: %zu fire events, %d of 10 sensors compromised\n\n",
-                cfg.binary.events, static_cast<int>(cfg.binary.pct_faulty * 10));
+                cfg.binary.events, static_cast<int>(cfg.binary.pct_faulty * 10 + 0.5));
 
     const auto tibfit = exp::run_binary_experiment(cfg);
     auto baseline_cfg = cfg;

@@ -19,16 +19,15 @@
 #include "cluster/energy.h"
 #include "cluster/leach.h"
 #include "core/trust.h"
-#include "util/config.h"
+#include "exp/scenario.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto rounds = static_cast<std::uint32_t>(args.get_int("rounds", 24));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
+    std::uint32_t rounds = 24;
+    std::uint64_t seed = 2;
+    exp::apply_knobs(argc, argv, {{"rounds", &rounds}, {"seed", &seed}});
 
     util::Rng rng(seed);
     constexpr std::size_t kNodes = 20;

@@ -6,26 +6,24 @@
 // the 50% compromise point where voting collapses, plus the diagnosis
 // (isolation) of compromised nodes.
 //
-// Usage: ./network_decay [epoch_events=50] [final=75] [seed=11]
+// Usage: ./network_decay [decay_epoch_events=50] [decay_final=0.75] [seed=11]
 #include <cstdio>
 
 #include "exp/location_experiment.h"
-#include "util/config.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
-
-    util::Config args;
-    args.parse_args(argc, argv);
 
     exp::Scenario cfg = exp::Scenario::location_defaults();
     cfg.location.decay = true;
     cfg.location.decay_initial = 0.05;
     cfg.location.decay_step = 0.05;
-    cfg.location.decay_final = static_cast<double>(args.get_int("final", 75)) / 100.0;
-    cfg.location.decay_epoch_events = static_cast<std::size_t>(args.get_int("epoch_events", 50));
+    cfg.location.decay_final = 0.75;
+    cfg.location.decay_epoch_events = 50;
+    cfg.seed = 11;
+    exp::apply_knobs(argc, argv,
+                     {{"decay_epoch_events", &cfg}, {"decay_final", &cfg}, {"seed", &cfg}});
     cfg.location.epoch_events = cfg.location.decay_epoch_events;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
 
     std::printf("Network decay: +5%% of the network compromised every %zu events, up to %.0f%%\n\n",
                 cfg.location.decay_epoch_events, 100.0 * cfg.location.decay_final);

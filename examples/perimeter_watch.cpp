@@ -9,7 +9,7 @@
 // compromised to hide exactly this kind of incursion (they suppress real
 // detections and spoof positions).
 //
-// Usage: ./perimeter_watch [steps=12] [faulty=33] [seed=4]
+// Usage: ./perimeter_watch [steps=12] [pct_faulty=0.33] [seed=4]
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -17,21 +17,20 @@
 #include <vector>
 
 #include "cluster/cluster_head.h"
+#include "exp/scenario.h"
 #include "net/channel.h"
 #include "sensor/fault_model.h"
 #include "sensor/sensor_node.h"
 #include "sim/simulator.h"
 #include "util/ascii_field.h"
-#include "util/config.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto steps = static_cast<std::size_t>(args.get_int("steps", 12));
-    const double pct_faulty = static_cast<double>(args.get_int("faulty", 33)) / 100.0;
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 4));
+    std::size_t steps = 12;
+    double pct_faulty = 0.33;
+    std::uint64_t seed = 4;
+    exp::apply_knobs(argc, argv, {{"steps", &steps}, {"pct_faulty", &pct_faulty}, {"seed", &seed}});
 
     sim::Simulator simulator;
     util::Rng root(seed);

@@ -9,32 +9,29 @@
 // archive separate them and the election stop trusting them with
 // leadership. The run is a location scenario with clustering = leach.
 //
-// Usage: ./self_organizing [rounds=12] [faulty=16] [seed=9]
+// Usage: ./self_organizing [rounds=12] [pct_faulty=0.25] [seed=9]
 #include <cstdio>
 
 #include "exp/location_experiment.h"
-#include "util/config.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 12));
-    const auto n_faulty = static_cast<std::size_t>(args.get_int("faulty", 16));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
-
-    // 8x8 lattice; n_faulty level-0 compromised nodes; one event every 12 s
-    // over `rounds` rounds of 100 s.
+    // 8x8 lattice; a pct_faulty share of level-0 compromised nodes; one
+    // event every 12 s over `rounds` rounds of 100 s.
+    std::size_t rounds = 12;
     exp::Scenario s = exp::Scenario::location_defaults();
-    s.seed = seed;
+    s.seed = 9;
     s.faults.natural_error_rate = 0.01;
     s.location.n_nodes = 64;
-    s.location.pct_faulty = static_cast<double>(n_faulty) / 64.0;
+    s.location.pct_faulty = 0.25;
     s.location.event_interval = 12.0;
-    s.location.events = rounds * 100 / 12;
     s.location.clustering = exp::Clustering::Leach;
     s.location.leach.ch_fraction = 0.08;
+    exp::apply_knobs(argc, argv, {{"rounds", &rounds}, {"pct_faulty", &s}, {"seed", &s}});
+    s.location.events = rounds * 100 / 12;
+    // The world compromises the nearest whole number of nodes.
+    const auto n_faulty = static_cast<std::size_t>(s.location.pct_faulty * 64.0 + 0.5);
     const exp::LocationResult r = exp::run_location_experiment(s);
 
     std::printf("Self-organizing run: %zu rounds, %zu events, %zu/64 sensors compromised\n\n",

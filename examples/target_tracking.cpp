@@ -8,7 +8,7 @@
 // positions. The CH fuses each burst of reports with the event clusterer +
 // trust-weighted vote and prints the reconstructed track next to the truth.
 //
-// Usage: ./target_tracking [steps=30] [faulty=30] [seed=3]
+// Usage: ./target_tracking [steps=30] [pct_faulty=0.3] [seed=3]
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -16,21 +16,20 @@
 #include <vector>
 
 #include "cluster/cluster_head.h"
+#include "exp/scenario.h"
 #include "net/channel.h"
 #include "sensor/fault_model.h"
 #include "sensor/sensor_node.h"
 #include "sim/simulator.h"
 #include "util/ascii_field.h"
-#include "util/config.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto steps = static_cast<std::size_t>(args.get_int("steps", 30));
-    const double pct_faulty = static_cast<double>(args.get_int("faulty", 30)) / 100.0;
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+    std::size_t steps = 30;
+    double pct_faulty = 0.3;
+    std::uint64_t seed = 3;
+    exp::apply_knobs(argc, argv, {{"steps", &steps}, {"pct_faulty", &pct_faulty}, {"seed", &seed}});
 
     sim::Simulator simulator;
     util::Rng root(seed);

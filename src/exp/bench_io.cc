@@ -28,21 +28,18 @@ void apply_jobs(std::string_view value, const std::string& bench) {
     std::cerr << bench << ": ignoring invalid --jobs value '" << value << "'\n";
 }
 
-/// get()'s value; when the user gave `key` a value of another type
-/// (util::Config throws std::out_of_range), says what it expects and exits 2.
-template <class Get>
-auto typed(const std::string& bench, const util::Config& params, const std::string& key,
-           const char* expects, Get get) {
-    try {
-        return get();
-    } catch (const std::out_of_range&) {
-        std::cerr << bench << ": invalid value '" << params.to_string(key) << "' for " << key
+}  // namespace
+
+template <class T>
+T BenchIo::read(const std::string& key, T dflt, const char* expects) const {
+    const auto it = params_.find(key);
+    if (it != params_.end() && !parse_value(it->second, dflt)) {
+        std::cerr << name_ << ": invalid value '" << it->second << "' for " << key
                   << "= (expects " << expects << ")\n";
         std::exit(2);
     }
+    return dflt;
 }
-
-}  // namespace
 
 BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name)) {
     argv_.reserve(static_cast<std::size_t>(argc));
@@ -76,16 +73,16 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
             argv_.emplace_back(json_path_);
         } else if (arg.rfind("--json=", 0) == 0) {
             json_path_ = arg.substr(std::strlen("--json="));
-        } else if (params_.parse_assignment(std::string(arg))) {
-            cli_keys_.emplace_back(arg.substr(0, arg.find('=')));
+        } else if (const auto eq = arg.find('='); eq != arg.npos && eq != 0) {
+            params_[std::string(arg.substr(0, eq))] = arg.substr(eq + 1);
+            cli_keys_.emplace_back(arg.substr(0, eq));
         }
     }
 }
 
 std::size_t BenchIo::trial_runs(std::size_t dflt) const {
-    const long n = typed(name_, params_, "runs", "an integer",
-                         [&] { return params_.get_int("runs", static_cast<long>(dflt)); });
-    return n > 0 ? static_cast<std::size_t>(n) : dflt;
+    const std::size_t n = read("runs", dflt, "an integer");
+    return n > 0 ? n : dflt;
 }
 
 void BenchIo::declare(const std::string& key, std::string dflt, const std::string& help) {
@@ -102,25 +99,25 @@ bool BenchIo::declared(const std::string& key) const {
 
 long BenchIo::option(const std::string& key, long dflt, const std::string& help) {
     declare(key, std::to_string(dflt), help);
-    return typed(name_, params_, key, "an integer", [&] { return params_.get_int(key, dflt); });
+    return read(key, dflt, "an integer");
 }
 
 double BenchIo::option(const std::string& key, double dflt, const std::string& help) {
     std::ostringstream rendered;
     rendered << dflt;
     declare(key, rendered.str(), help);
-    return typed(name_, params_, key, "a number", [&] { return params_.get_double(key, dflt); });
+    return read(key, dflt, "a number");
 }
 
 bool BenchIo::option(const std::string& key, bool dflt, const std::string& help) {
     declare(key, dflt ? "true" : "false", help);
-    return typed(name_, params_, key, "true or false",
-                 [&] { return params_.get_bool(key, dflt); });
+    return read(key, dflt, "true or false");
 }
 
 std::string BenchIo::option(const std::string& key, std::string dflt, const std::string& help) {
     declare(key, dflt, help);
-    return params_.has(key) ? params_.to_string(key) : dflt;
+    const auto it = params_.find(key);
+    return it == params_.end() ? dflt : it->second;
 }
 
 void BenchIo::print_help(std::ostream& out) const {
@@ -148,9 +145,6 @@ void BenchIo::print_help(std::ostream& out) const {
 void BenchIo::print_help() const { print_help(std::cout); }
 
 void BenchIo::warn_undeclared() const {
-    // Only meaningful once the bench declares its knobs; a bench that
-    // never calls option() keeps the old accept-anything behaviour.
-    if (options_.empty()) return;
     for (const auto& key : cli_keys_) {
         if (key == "runs" || declared(key)) continue;
         std::cerr << name_ << ": warning: unrecognised parameter '" << key
@@ -192,7 +186,7 @@ int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
     std::vector<const util::Table*> tables;
     tables.reserve(tables_.size());
     for (const auto& t : tables_) tables.push_back(&t);
-    obs::write_run_artifact(out, meta, rec.metrics(), &params_, tables);
+    obs::write_run_artifact(out, meta, rec.metrics(), params_, tables);
     out.flush();
     if (!out) {
         std::cerr << name_ << ": failed writing " << json_path_ << '\n';

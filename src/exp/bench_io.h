@@ -11,11 +11,12 @@
 
 #include <functional>
 #include <iosfwd>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/scenario.h"
-#include "util/config.h"
 #include "util/table.h"
 
 namespace tibfit::obs {
@@ -30,7 +31,7 @@ class BenchIo {
     /// `--jobs=N` out of argv (the latter sets the process-wide
     /// par::set_jobs; it is excluded from the artifact's argv echo because
     /// outputs are thread-count-invariant) and echoes any key=value tokens
-    /// into params().
+    /// into the artifact's params, as typed.
     BenchIo(std::string name, int argc, char** argv);
 
     /// The replication count for this bench's sweeps: the `runs=<n>`
@@ -44,10 +45,10 @@ class BenchIo {
     /// Declares a `key=value` option and returns its effective value: the
     /// command-line override when given, else `dflt`. Declaring registers
     /// the key for --help and the unrecognised-parameter warning only —
-    /// defaults are never written into params(), so the artifact's
-    /// parameter echo keeps carrying exactly what the user typed plus what
-    /// the bench sets explicitly (artifact shape is part of the
-    /// determinism-CI diff).
+    /// defaults are never echoed, so the artifact's parameter echo keeps
+    /// carrying exactly what the user typed plus what the bench sets with
+    /// param() (artifact shape is part of the determinism-CI diff). Values
+    /// parse by exp::parse_value's rules; a malformed one exits 2.
     long option(const std::string& key, long dflt, const std::string& help);
     long option(const std::string& key, int dflt, const std::string& help) {
         return option(key, static_cast<long>(dflt), help);
@@ -85,9 +86,16 @@ class BenchIo {
     /// their numbers are timings already.
     void enable_timing() { timing_ = true; }
 
-    /// Parameters echoed into the artifact. Benches add the knobs of their
-    /// representative run here.
-    util::Config& params() { return params_; }
+    /// Echoes `value` into the artifact's params under `key` (replacing
+    /// what the user typed), rendered by `ostream <<` with bools as
+    /// true|false. Benches echo the knobs of their representative run.
+    template <class T>
+    BenchIo& param(const std::string& key, const T& value) {
+        std::ostringstream os;
+        os << std::boolalpha << value;
+        params_[key] = os.str();
+        return *this;
+    }
 
     /// Call as the last statement of main: `return io.finish(...)`. With
     /// --json, runs `instrument` — which should execute ONE representative
@@ -109,6 +117,10 @@ class BenchIo {
     void declare(const std::string& key, std::string dflt, const std::string& help);
     bool declared(const std::string& key) const;
     void warn_undeclared() const;
+    /// The user's value for `key` parsed as T, else `dflt`; exits 2 when
+    /// the value does not parse.
+    template <class T>
+    T read(const std::string& key, T dflt, const char* expects) const;
 
     std::string name_;
     std::string description_;
@@ -117,7 +129,7 @@ class BenchIo {
     bool timing_ = false;
     bool help_ = false;
     std::string json_path_;
-    util::Config params_;
+    std::map<std::string, std::string> params_;  ///< key-sorted artifact echo
     std::vector<std::string> cli_keys_;  ///< keys the user actually passed
     std::vector<DeclaredOption> options_;
     std::vector<util::Table> tables_;

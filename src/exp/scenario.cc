@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <span>
 #include <sstream>
@@ -478,6 +480,60 @@ std::vector<std::string> override_tokens(const Scenario& s) {
         }
     });
     return out;
+}
+
+template <class T>
+bool parse_value(std::string_view text, T& out) {
+    return parse_text(text, out);
+}
+template bool parse_value(std::string_view, bool&);
+template bool parse_value(std::string_view, double&);
+template bool parse_value(std::string_view, long&);
+template bool parse_value(std::string_view, std::size_t&);
+
+void apply_knob(std::span<const Knob> knobs, std::string_view token) {
+    const auto eq = token.find('=');
+    const std::string_view key = token.substr(0, eq);
+    const std::string_view value = eq == token.npos ? "" : token.substr(eq + 1);
+    const auto knob =
+        std::find_if(knobs.begin(), knobs.end(), [&](const Knob& k) { return k.key == key; });
+    if (knob == knobs.end()) {
+        std::string keys;
+        for (const Knob& k : knobs) (keys += keys.empty() ? "" : "|") += k.key;
+        throw std::invalid_argument("unknown key '" + std::string(key) + "' (keys: " + keys + ")");
+    }
+    std::visit(
+        [&](auto* target) {
+            if constexpr (std::is_same_v<decltype(target), Scenario*>) {
+                apply_override(*target, key, value);
+            } else if (!parse_text(value, *target)) {
+                throw std::invalid_argument(std::string(key) + " expects " + expects(*target) +
+                                            ", got '" + std::string(value) + "'");
+            }
+        },
+        knob->target);
+}
+
+void apply_knobs(int argc, char** argv, std::initializer_list<Knob> knobs) {
+    std::string_view prog = argc > 0 ? argv[0] : "";
+    prog.remove_prefix(prog.rfind('/') + 1);  // npos + 1 == 0
+    const int width = static_cast<int>(prog.size());
+    for (int i = 1; i < argc; ++i) {
+        try {
+            apply_knob({knobs.begin(), knobs.end()}, argv[i]);
+        } catch (const std::invalid_argument& e) {
+            std::fprintf(stderr, "%.*s: '%s': %s\n", width, prog.data(), argv[i], e.what());
+            std::exit(2);
+        }
+    }
+    for (const Knob& knob : knobs) {
+        Scenario* const* s = std::get_if<Scenario*>(&knob.target);
+        const std::vector<std::string> errors = s ? (*s)->validate() : std::vector<std::string>{};
+        for (const std::string& e : errors) {
+            std::fprintf(stderr, "%.*s: %s\n", width, prog.data(), e.c_str());
+        }
+        if (!errors.empty()) std::exit(2);
+    }
 }
 
 }  // namespace tibfit::exp

@@ -10,8 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "check/config.h"
@@ -215,5 +218,29 @@ std::string_view apply_override(Scenario& scenario, std::string_view key, std::s
 /// One `path=value` token per field of the sections the scenario's kind
 /// reads, in JSON order, each setting its field to its current value.
 std::vector<std::string> override_tokens(const Scenario& scenario);
+
+/// Parses the whole of `text` in `out`'s type by apply_override's rules:
+/// counts are digits only, at most 2^53 and the type's maximum; numbers
+/// are finite; bools are true|false. False leaves `out` as is. Defined for
+/// bool, double, long and std::size_t.
+template <class T>
+bool parse_value(std::string_view text, T& out);
+
+/// One `key=value` knob of an example program: a leaf of a Scenario (set
+/// through apply_override) or a value of the program's own.
+struct Knob {
+    std::string_view key;
+    std::variant<Scenario*, double*, unsigned*, unsigned long*, unsigned long long*> target;
+};
+
+/// Applies one `key=value` token to the knob its key names. Throws
+/// std::invalid_argument naming the key on an unknown key or a value the
+/// target rejects.
+void apply_knob(std::span<const Knob> knobs, std::string_view token);
+
+/// apply_knob() over argv, then validate() on every Scenario target. On
+/// the first rejection prints `<prog>: '<token>': <why>` (or the
+/// scenario's messages) to stderr and exits 2.
+void apply_knobs(int argc, char** argv, std::initializer_list<Knob> knobs);
 
 }  // namespace tibfit::exp

@@ -10,7 +10,6 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/version.h"
-#include "util/config.h"
 #include "util/table.h"
 
 namespace tibfit::obs {
@@ -41,7 +40,7 @@ double process_peak_rss_bytes() {
 }
 
 void write_run_artifact(std::ostream& os, const ArtifactMeta& meta, const Registry& metrics,
-                        const util::Config* params,
+                        const std::map<std::string, std::string>& params,
                         const std::vector<const util::Table*>& tables) {
     json::Writer w(os, 2);
     w.begin_object();
@@ -63,9 +62,7 @@ void write_run_artifact(std::ostream& os, const ArtifactMeta& meta, const Regist
         w.end_object();
     }
     w.key("params").begin_object();
-    if (params) {
-        for (const auto& k : params->keys()) w.field(k, params->to_string(k));
-    }
+    for (const auto& [key, value] : params) w.field(key, value);
     w.end_object();
     w.key("metrics");
     metrics.write_json(w);

@@ -4,11 +4,11 @@
 #pragma once
 
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
 namespace tibfit::util {
-class Config;
 class Table;
 }  // namespace tibfit::util
 
@@ -49,9 +49,9 @@ double process_peak_rss_bytes();
 std::string build_revision();
 
 /// Writes the full artifact document (pretty-printed JSON, trailing
-/// newline). `params` may be nullptr when the run has no Config echo.
+/// newline). `params` is the echoed `key=value` text, written in key order.
 void write_run_artifact(std::ostream& os, const ArtifactMeta& meta, const Registry& metrics,
-                        const util::Config* params,
+                        const std::map<std::string, std::string>& params,
                         const std::vector<const util::Table*>& tables);
 
 }  // namespace tibfit::obs

@@ -199,7 +199,24 @@ TEST_P(ScenarioInputFuzz, KeyValueTokensApplyOrThrowInvalidArgument) {
     util::Rng rng(GetParam());
     for (exp::Scenario s : {exp::Scenario::binary_defaults(), exp::Scenario::location_defaults()}) {
         const std::vector<std::string> tokens = exp::override_tokens(s);
-        std::size_t applied = 0;
+        // Every leaf is also an example knob, its target cycling through
+        // the Scenario and the value types a program can own.
+        exp::Scenario knob_scenario = s;
+        std::size_t own_count = 0;
+        std::uint32_t own_small = 0;
+        double own_number = 0.0;
+        std::vector<exp::Knob> knobs;
+        for (const std::string& token : tokens) {
+            const std::string_view path = std::string_view(token).substr(0, token.find('='));
+            const std::string_view leaf = path.substr(path.rfind('.') + 1);
+            switch (knobs.size() % 4) {
+                case 0: knobs.push_back({leaf, &knob_scenario}); break;
+                case 1: knobs.push_back({leaf, &own_count}); break;
+                case 2: knobs.push_back({leaf, &own_small}); break;
+                default: knobs.push_back({leaf, &own_number}); break;
+            }
+        }
+        std::size_t applied = 0, knob_applied = 0;
         for (int i = 0; i < 300; ++i) {
             const std::string& token = tokens[rng.uniform_index(tokens.size())];
             std::string key = token.substr(0, token.find('='));
@@ -220,8 +237,15 @@ TEST_P(ScenarioInputFuzz, KeyValueTokensApplyOrThrowInvalidArgument) {
                 ++applied;
             } catch (const std::invalid_argument&) {
             }
+            // The same token as an example's argument.
+            try {
+                exp::apply_knob(knobs, key + "=" + value);
+                ++knob_applied;
+            } catch (const std::invalid_argument&) {
+            }
         }
         EXPECT_GT(applied, 0u);
+        EXPECT_GT(knob_applied, 0u);
         s.validate();
         EXPECT_EQ(exp::to_json(exp::scenario_from_json_text(exp::to_json(s))), exp::to_json(s));
     }

@@ -13,7 +13,6 @@
 #include "obs/names.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "util/config.h"
 #include "util/table.h"
 
 namespace tibfit {
@@ -191,8 +190,7 @@ TEST(Artifact, CarriesMetricsParamsAndTables) {
     cfg.recorder = &rec;
     exp::run_binary_experiment(cfg);
 
-    util::Config params;
-    params.set("events", 30).set("pct_faulty", 0.4);
+    const std::map<std::string, std::string> params = {{"events", "30"}, {"pct_faulty", "0.4"}};
     util::Table t("demo");
     t.header({"k", "v"});
     t.row({"x", "1"});
@@ -201,7 +199,7 @@ TEST(Artifact, CarriesMetricsParamsAndTables) {
     meta.name = "obs_test";
     meta.argv = {"obs_test", "--json", "out.json"};
     std::ostringstream os;
-    obs::write_run_artifact(os, meta, rec.metrics(), &params, {&t});
+    obs::write_run_artifact(os, meta, rec.metrics(), params, {&t});
 
     const auto doc = obs::json::parse(os.str());
     EXPECT_DOUBLE_EQ(doc.number_or("schema", -1), obs::kArtifactSchemaVersion);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -587,8 +588,30 @@ TEST(Scenario, CliOverridesMatchTheLocationConfigMapping) {
     EXPECT_EQ(a.mean_ti_faulty, b.mean_ti_faulty);
 }
 
+// An example's knobs: Scenario leaves go through apply_override, the
+// program's own values through the same strict parser.
+TEST(Scenario, KnobsParseStrictlyIntoTheirTargets) {
+    Scenario s = Scenario::binary_defaults();
+    std::size_t steps = 12;
+    double share = 0.33;
+    const Knob knobs[] = {{"steps", &steps}, {"share", &share}, {"pct_faulty", &s}};
+    apply_knob(knobs, "steps=40");
+    apply_knob(knobs, "share=0.5");
+    apply_knob(knobs, "pct_faulty=0.7");
+    EXPECT_EQ(steps, 40u);
+    EXPECT_EQ(share, 0.5);
+    EXPECT_EQ(s.binary.pct_faulty, 0.7);
+    for (const char* bad : {"steps=1.5", "steps=-3", "steps=", "share=inf", "share=6abc",
+                            "pct_faulty=x", "stpes=5", "steps", "seed=1"}) {
+        EXPECT_THROW(apply_knob(knobs, bad), std::invalid_argument) << bad;
+    }
+    EXPECT_EQ(steps, 40u);
+    EXPECT_EQ(share, 0.5);
+}
+
 // Bench knobs of the wrong type exit 2 naming the knob instead of
-// terminating on util::Config's exception.
+// terminating on an uncaught exception. Never pass a negative events=
+// here: a regression that let it through would allocate until killed.
 TEST(BenchIoDeathTest, WrongTypedKnobsExitTwo) {
     const auto run = [](const char* arg, auto read) {
         char name[] = "bench_fig4";
@@ -608,6 +631,26 @@ TEST(BenchIoDeathTest, WrongTypedKnobsExitTwo) {
                 ::testing::ExitedWithCode(2), "expects a number");
     EXPECT_EXIT(run("smoke=2", [](BenchIo& io) { io.option("smoke", false, "smoke"); }),
                 ::testing::ExitedWithCode(2), "expects true or false");
+    EXPECT_EXIT(run("n_nodes=-3", [](BenchIo& io) { io.option("n_nodes", 10, "nodes"); }),
+                ::testing::ExitedWithCode(2), "invalid value '-3' for n_nodes=");
+    EXPECT_EXIT(run("lambda=inf", [](BenchIo& io) { io.option("lambda", 0.1, "lambda"); }),
+                ::testing::ExitedWithCode(2), "invalid value 'inf' for lambda=");
+    EXPECT_EXIT(run("runs=-1", [](BenchIo& io) { io.trial_runs(5); }),
+                ::testing::ExitedWithCode(2), "invalid value '-1' for runs=");
+}
+
+// A bench that declares no option still names a key it does not read.
+TEST(BenchIoDeathTest, UndeclaredKnobWarns) {
+    char name[] = "bench_fig3";
+    char token[] = "evnets=5";
+    char* argv[] = {name, token};
+    EXPECT_EXIT(
+        {
+            BenchIo io("bench_fig3", 2, argv);
+            io.trial_runs(30);
+            std::exit(io.finish());
+        },
+        ::testing::ExitedWithCode(0), "bench_fig3: warning: unrecognised parameter 'evnets='");
 }
 
 }  // namespace
