@@ -72,6 +72,7 @@ int main(int argc, char** argv) {
     cells.push_back(level2);
     level2.engine.trust_weighted_location = true;
     cells.push_back(level2);
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Ablations (level 0, 50% faulty, 200 events, accuracy averaged over 5 seeds)");

@@ -90,6 +90,8 @@ int main(int argc, char** argv) {
         return 0;
     }
 
+    for (const exp::Scenario* s : {&binary, &location}) io.require_valid({s, 1});
+
     struct Workload {
         const char* name;
         exp::Scenario scenario;

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
         baseline.engine.policy = core::DecisionPolicy::MajorityVote;
         cells.push_back(baseline);
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Extension: level-2 collusion with and without the collusion detector");

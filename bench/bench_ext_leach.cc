@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
         b.engine.policy = core::DecisionPolicy::MajorityVote;
         cells.insert(cells.end(), {d, t, b});
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Extension: LEACH self-organized heads vs dedicated CH entities (level 0)");

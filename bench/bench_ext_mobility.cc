@@ -35,6 +35,7 @@ int main(int argc, char** argv) {
         c.mobility.speed_max = 4.0;
         cells.push_back(c);
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Extension: stationary vs mobile network (level 0, TIBFIT)");

@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
             cells.push_back(c);
         }
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Extension: single-hop vs multi-hop report collection (level 0, TIBFIT)");

@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
         c.binary.use_shadows = true;
         cells.push_back(c);
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Extension: corrupt cluster head masked by shadow CHs + base station vote");

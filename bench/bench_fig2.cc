@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
         b.engine.policy = core::DecisionPolicy::MajorityVote;
         cells.push_back(b);
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Figure 2: binary model accuracy vs % faulty (missed alarms only)");

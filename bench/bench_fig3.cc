@@ -39,6 +39,7 @@ int main(int argc, char** argv) {
             cells.push_back(c);
         }
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Figure 3: binary model accuracy vs % faulty (missed + false alarms, NER 1%)");

@@ -53,6 +53,7 @@ int main(int argc, char** argv) {
             cells.push_back(sc);
         }
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Figure 4: location model accuracy vs % faulty (level 0)");

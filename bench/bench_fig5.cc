@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
             cells.push_back(c);
         }
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Figure 5: location model accuracy vs % faulty (level 1, TI hysteresis 0.5/0.8)");

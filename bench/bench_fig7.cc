@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
             cells.push_back(c);
         }
     }
+    io.require_valid(cells);
     const std::vector<double> acc = exp::mean_accuracies(cells, runs);
 
     util::Table t("Figure 7: single vs concurrent events (level 0, TIBFIT)");

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
         c.engine.policy = s.policy;
         cells.push_back(c);
     }
+    io.require_valid(cells);
     const std::vector<std::vector<double>> curves = exp::mean_epoch_accuracies(cells, runs);
 
     util::Table t("Figure 9: network decay, accuracy per 50-event epoch (faulty sigma 6.0)");

@@ -111,6 +111,7 @@ int main(int argc, char** argv) {
             cells.push_back(s);
         }
     }
+    io.require_valid(cells);
     const std::vector<double> loss_acc = exp::mean_accuracies(cells, runs);
     util::Table a("Injected channel loss: plain vs reliable report transport");
     a.header({"extra loss", "plain", "reliable"});
@@ -142,6 +143,7 @@ int main(int argc, char** argv) {
             cells.push_back(f);
         }
     }
+    io.require_valid(cells);
     const std::vector<double> failover_acc = exp::mean_accuracies(cells, runs);
     util::Table b("CH failover + degraded channel: warm (checkpointed trust) vs cold handoff");
     b.header({"% faulty", "no failover", "warm handoff", "cold handoff"});

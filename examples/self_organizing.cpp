@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     s.location.leach.ch_fraction = 0.08;
     exp::apply_knobs(argc, argv, {{"rounds", &rounds}, {"pct_faulty", &s}, {"seed", &s}});
     s.location.events = rounds * 100 / 12;
+    exp::require_valid(argv[0], {&s, 1});  // the derived event count too
     // The world compromises the nearest whole number of nodes.
     const auto n_faulty = static_cast<std::size_t>(s.location.pct_faulty * 64.0 + 0.5);
     const exp::LocationResult r = exp::run_location_experiment(s);

@@ -100,6 +100,7 @@ void ClusterHead::end_leadership() {
     active_ = false;
     window_open_ = false;
     window_reporters_.clear();
+    engine_.release_scratch();
 }
 
 void ClusterHead::enable_relay(const net::RoutingTable* routes, net::TransportParams params) {

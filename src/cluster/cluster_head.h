@@ -108,8 +108,8 @@ class ClusterHead : public sim::Process {
     /// archive (Section 2); the reply arrives as a TiTransfer packet.
     void request_archive();
 
-    /// Leadership end: ship the trust table to the base station and go
-    /// inactive.
+    /// Leadership end: ship the trust table to the base station, free the
+    /// engine's per-window scratch and go inactive.
     void end_leadership();
 
     /// Decisions made so far (monotone append).

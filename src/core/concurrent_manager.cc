@@ -30,61 +30,71 @@ bool ConcurrentEventManager::add_report(double now, std::size_t report_index,
     return true;
 }
 
-std::vector<ReportGroup> ConcurrentEventManager::collect_ready(double now) {
+void ConcurrentEventManager::release_scratch() {
+    parent_ = {};
+    component_ready_ = {};
+    group_slot_ = {};
+    ready_ = {};
+}
+
+std::span<const ReportGroup> ConcurrentEventManager::collect_ready(double now) {
+    // A component is ready only when all of its circles have expired, so
+    // none can be while even the earliest deadline lies ahead.
+    if (!next_deadline_ || *next_deadline_ > now) return {};
     const std::size_t n = circles_.size();
-    std::vector<ReportGroup> out;
-    if (n == 0) return out;
 
     // Union-find over overlapping circles.
-    std::vector<std::size_t> parent(n);
-    for (std::size_t i = 0; i < n; ++i) parent[i] = i;
+    parent_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
     auto find = [&](std::size_t x) {
-        while (parent[x] != x) x = parent[x] = parent[parent[x]];
+        while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
         return x;
     };
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
             if (util::circles_overlap(circles_[i].circle, circles_[j].circle)) {
-                parent[find(j)] = find(i);
+                parent_[find(j)] = find(i);
             }
         }
     }
 
     // A component is ready when every member circle's deadline has passed.
-    std::vector<bool> component_ready(n, true);
+    component_ready_.assign(n, 1);
     for (std::size_t i = 0; i < n; ++i) {
-        if (circles_[i].deadline > now) component_ready[find(i)] = false;
+        if (circles_[i].deadline > now) component_ready_[find(i)] = 0;
     }
 
-    // Gather ready components into groups (arrival order = circle creation
-    // order, then within-circle arrival order).
-    std::vector<ReportGroup> group_of_root(n);
-    std::vector<bool> released(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t r = find(i);
-        if (!component_ready[r]) continue;
-        auto& g = group_of_root[r];
-        g.insert(g.end(), circles_[i].members.begin(), circles_[i].members.end());
-        released[i] = true;
-    }
+    // One group per ready component, in ascending root order; each gathers
+    // its circles' reports in circle creation order, then within-circle
+    // arrival order.
+    constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+    group_slot_.assign(n, kNoSlot);
+    std::size_t groups = 0;
     for (std::size_t r = 0; r < n; ++r) {
-        if (!group_of_root[r].empty()) out.push_back(std::move(group_of_root[r]));
+        if (parent_[r] == r && component_ready_[r]) group_slot_[r] = groups++;
     }
+    if (ready_.size() < groups) ready_.resize(groups);
+    for (std::size_t g = 0; g < groups; ++g) ready_[g].clear();
 
-    // Compact away released circles and re-establish the cached minimum
-    // deadline over whatever stays open.
-    std::vector<CircleState> rest;
-    rest.reserve(n);
+    // Compact the open circles to the front, in order, and re-establish
+    // the cached minimum deadline over them.
     next_deadline_.reset();
+    std::size_t open = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        if (released[i]) continue;
+        const std::size_t slot = group_slot_[find(i)];
+        if (slot != kNoSlot) {
+            auto& g = ready_[slot];
+            g.insert(g.end(), circles_[i].members.begin(), circles_[i].members.end());
+            continue;
+        }
         if (!next_deadline_ || circles_[i].deadline < *next_deadline_) {
             next_deadline_ = circles_[i].deadline;
         }
-        rest.push_back(std::move(circles_[i]));
+        if (open != i) circles_[open] = std::move(circles_[i]);
+        ++open;
     }
-    circles_ = std::move(rest);
-    return out;
+    circles_.erase(circles_.begin() + static_cast<std::ptrdiff_t>(open), circles_.end());
+    return {ready_.data(), groups};
 }
 
 }  // namespace tibfit::core

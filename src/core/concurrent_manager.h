@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/geometry.h"
@@ -48,8 +49,18 @@ class ConcurrentEventManager {
 
     /// Releases every overlap component whose circles have all expired by
     /// `now`. Each returned group is the union of the component's report
-    /// indices, in arrival order. Released circles are forgotten.
-    std::vector<ReportGroup> collect_ready(double now);
+    /// indices, in arrival order; groups come in ascending order of their
+    /// component's union-find root. Released circles are forgotten.
+    ///
+    /// The groups live in this manager and stay valid until the next call;
+    /// their buffers are reused, so a steady stream of windows allocates
+    /// nothing here. Returns at once, with no groups, when no circle has
+    /// expired yet.
+    std::span<const ReportGroup> collect_ready(double now);
+
+    /// Frees collect_ready()'s scratch and the released groups; open
+    /// circles are kept.
+    void release_scratch();
 
     /// True if no un-released circles remain.
     bool idle() const { return circles_.empty(); }
@@ -69,6 +80,16 @@ class ConcurrentEventManager {
     std::vector<CircleState> circles_;
     /// Invariant: min deadline over circles_, nullopt when none are open.
     std::optional<double> next_deadline_;
+
+    // Scratch of collect_ready(), indexed by circle: the union-find forest,
+    // whether a root's component is ready, and a ready root's slot in
+    // ready_. Each call rebuilds them for the circles it sees.
+    std::vector<std::size_t> parent_;
+    std::vector<unsigned char> component_ready_;
+    std::vector<std::size_t> group_slot_;
+    /// The groups the last collect_ready() released come first; the
+    /// entries past them only keep their buffers for later calls.
+    std::vector<ReportGroup> ready_;
 };
 
 }  // namespace tibfit::core

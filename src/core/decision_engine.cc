@@ -1,5 +1,7 @@
 #include "core/decision_engine.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "core/check_hooks.h"
@@ -56,6 +58,12 @@ BinaryDecision DecisionEngine::decide_binary(std::span<const NodeId> event_neigh
     return d;
 }
 
+void DecisionEngine::release_scratch() {
+    group_reports_ = {};
+    location_.release_scratch();
+    windows_.release_scratch();
+}
+
 bool DecisionEngine::submit(const EventReport& report) {
     if (!report.has_location()) {
         throw std::invalid_argument("DecisionEngine::submit: report has no location");
@@ -68,16 +76,19 @@ std::vector<LocationDecision> DecisionEngine::collect(
     double now, std::span<const util::Vec2> node_positions, bool apply_trust_updates) {
     std::vector<LocationDecision> out;
     for (const auto& group : windows_.collect_ready(now)) {
-        std::vector<EventReport> reports;
-        reports.reserve(group.size());
-        for (std::size_t idx : group) reports.push_back(pending_[idx]);
-        if (apply_trust_updates) run_collusion_defense(reports);
-        auto decisions = location_.decide(reports, node_positions, apply_trust_updates);
+        group_reports_.clear();
+        for (std::size_t idx : group) group_reports_.push_back(pending_[idx]);
+        if (apply_trust_updates) run_collusion_defense(group_reports_);
+        auto decisions = location_.decide(group_reports_, node_positions, apply_trust_updates);
         if (checker_) {
-            checker_->on_location_decisions(reports, node_positions, apply_trust_updates,
+            checker_->on_location_decisions(group_reports_, node_positions, apply_trust_updates,
                                             decisions, trust_);
         }
-        out.insert(out.end(), decisions.begin(), decisions.end());
+        if (out.empty()) {
+            out = std::move(decisions);
+        } else {
+            std::move(decisions.begin(), decisions.end(), std::back_inserter(out));
+        }
     }
     // All windows drained: the buffer indices are no longer referenced.
     if (windows_.idle()) pending_.clear();

@@ -107,6 +107,12 @@ class DecisionEngine {
     /// Number of reports buffered in open windows.
     std::size_t buffered_reports() const { return pending_.size(); }
 
+    /// Frees the location path's per-window scratch (kept between calls
+    /// so a leading CH decides without allocating). A CH that stops
+    /// leading calls this: otherwise every CH that ever led would hold
+    /// its buffers for the rest of the run. Open windows are kept.
+    void release_scratch();
+
     /// The collusion detector state (meaningful when collusion_defense is
     /// enabled in the config).
     const CollusionDetector& collusion_detector() const { return collusion_; }
@@ -121,6 +127,9 @@ class DecisionEngine {
     ConcurrentEventManager windows_;
     CollusionDetector collusion_;
     std::vector<EventReport> pending_;
+    /// The reports of the group collect() is deciding, gathered from
+    /// pending_; reused across groups and calls.
+    std::vector<EventReport> group_reports_;
     obs::Recorder* recorder_ = nullptr;
     DecisionChecker* checker_ = nullptr;
 };

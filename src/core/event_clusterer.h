@@ -63,12 +63,36 @@ class EventClusterer {
     /// Groups `points` into event clusters. Empty input yields no clusters;
     /// a single point yields one singleton cluster. Every input point is a
     /// member of exactly one output cluster.
+    ///
+    /// Replaces the contents of `out`, keeping the member buffers of the
+    /// clusters it reuses. The refinement rounds run in this clusterer's
+    /// scratch buffers, so a clusterer that is called again allocates only
+    /// when an input outgrows every earlier one.
+    void cluster(std::span<const util::Vec2> points, std::vector<EventCluster>& out);
+
+    /// The same clustering into a fresh vector, with fresh scratch: this
+    /// clusterer is not modified, so a const clusterer may be shared.
     std::vector<EventCluster> cluster(std::span<const util::Vec2> points) const;
 
+    /// Frees the scratch buffers; the next cluster() call regrows them.
+    void release_scratch() { scratch_ = Scratch{}; }
+
   private:
+    /// Buffers of one cluster() call. `cgs`/`sizes`/`assign` hold the
+    /// current round; each round writes the `next_*` buffers and swaps.
+    struct Scratch {
+        std::vector<util::Vec2> seeds, cgs, next_cgs, sums;
+        std::vector<std::size_t> sizes, next_sizes, assign, next_assign;
+        std::vector<std::size_t> counts, index, parent;
+    };
+
+    void run(std::span<const util::Vec2> points, Scratch& s,
+             std::vector<EventCluster>& out) const;
+
     double r_error_;
     std::size_t max_rounds_;
     obs::Recorder* recorder_ = nullptr;
+    Scratch scratch_;
 };
 
 }  // namespace tibfit::core

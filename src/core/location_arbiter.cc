@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace tibfit::core {
 
@@ -17,6 +16,14 @@ LocationArbiter::LocationArbiter(TrustManager& trust, DecisionPolicy policy,
     }
 }
 
+void LocationArbiter::release_scratch() {
+    reported_ = {};
+    kept_ = {};
+    locations_ = {};
+    clusters_ = {};
+    clusterer_.release_scratch();
+}
+
 std::vector<LocationDecision> LocationArbiter::decide(
     std::span<const EventReport> reports, std::span<const util::Vec2> node_positions,
     bool apply_trust_updates) {
@@ -26,22 +33,24 @@ std::vector<LocationDecision> LocationArbiter::decide(
     // table has diagnosed and isolated are "removed from the network"
     // (Section 3.1): their reports do not even reach the clusterer, so
     // they can no longer drag a cluster's centre of gravity.
-    std::vector<std::size_t> kept;  // indices into `reports`
-    {
-        std::unordered_set<NodeId> seen;
-        for (std::size_t i = 0; i < reports.size(); ++i) {
-            if (!reports[i].has_location()) continue;
-            if (reports[i].reporter >= node_positions.size()) continue;
-            if (stateful && trust_->is_isolated(reports[i].reporter)) continue;
-            if (seen.insert(reports[i].reporter).second) kept.push_back(i);
-        }
+    const std::size_t n_nodes = node_positions.size();
+    if (reported_.size() < n_nodes) reported_.resize(n_nodes);
+    kept_.clear();
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const NodeId r = reports[i].reporter;
+        if (!reports[i].has_location()) continue;
+        if (r >= n_nodes) continue;
+        if (stateful && trust_->is_isolated(r)) continue;
+        if (reported_[r]) continue;
+        reported_[r] = 1;
+        kept_.push_back(i);
     }
+    for (std::size_t i : kept_) reported_[reports[i].reporter] = 0;
 
-    std::vector<util::Vec2> locations;
-    locations.reserve(kept.size());
-    for (std::size_t i : kept) locations.push_back(*reports[i].location);
+    locations_.clear();
+    for (std::size_t i : kept_) locations_.push_back(*reports[i].location);
 
-    const auto clusters = clusterer_.cluster(locations);
+    clusterer_.cluster(locations_, clusters_);
 
     // A reporter within r_s of the cg is an expected sensor of the event; we
     // extend the plausibility cutoff by r_error so a correct node right at
@@ -52,11 +61,12 @@ std::vector<LocationDecision> LocationArbiter::decide(
     const double plaus2 = plaus * plaus;
 
     std::vector<LocationDecision> out;
-    out.reserve(clusters.size());
+    out.reserve(clusters_.size());
 
-    for (const auto& cl : clusters) {
+    for (const auto& cl : clusters_) {
         LocationDecision d;
         d.location = cl.cg;
+        d.reporters.reserve(cl.members.size());  // one kept report per member
 
         // Optional refinement: weight each member report by its reporter's
         // trust so distrusted nodes cannot drag the location estimate.
@@ -64,7 +74,7 @@ std::vector<LocationDecision> LocationArbiter::decide(
             util::Vec2 sum;
             double total = 0.0;
             for (std::size_t m : cl.members) {
-                const auto& r = reports[kept[m]];
+                const auto& r = reports[kept_[m]];
                 const double w = trust_->ti(r.reporter);
                 sum += *r.location * w;
                 total += w;
@@ -72,18 +82,14 @@ std::vector<LocationDecision> LocationArbiter::decide(
             if (total > 1e-9) d.location = sum / total;
         }
 
-        std::unordered_set<NodeId> cluster_reporters;
-        for (std::size_t m : cl.members) {
-            cluster_reporters.insert(reports[kept[m]].reporter);
-        }
-
         // Partition: reporters into this cluster (plausible ones), silent
-        // event neighbours, and thrown-out reporters.
-        for (NodeId n = 0; n < node_positions.size(); ++n) {
+        // event neighbours, and thrown-out reporters. Weights are summed in
+        // ascending id order.
+        for (std::size_t m : cl.members) reported_[reports[kept_[m]].reporter] = 1;
+        for (NodeId n = 0; n < n_nodes; ++n) {
             if (stateful && trust_->is_isolated(n)) continue;
             const double d2 = util::distance2(node_positions[n], d.location);
-            const bool is_reporter = cluster_reporters.count(n) != 0;
-            if (is_reporter) {
+            if (reported_[n]) {
                 if (d2 <= plaus2) {
                     d.reporters.push_back(n);
                     d.weight_reporters += stateful ? trust_->ti(n) : 1.0;
@@ -95,6 +101,7 @@ std::vector<LocationDecision> LocationArbiter::decide(
                 d.weight_silent += stateful ? trust_->ti(n) : 1.0;
             }
         }
+        for (std::size_t m : cl.members) reported_[reports[kept_[m]].reporter] = 0;
 
         d.event_declared = !d.reporters.empty() && d.weight_reporters >= d.weight_silent;
 

@@ -50,6 +50,10 @@ class LocationArbiter {
     DecisionPolicy policy() const { return policy_; }
     const EventClusterer& clusterer() const { return clusterer_; }
 
+    /// Frees the scratch buffers below and the clusterer's; the next
+    /// decide() call regrows them.
+    void release_scratch();
+
     /// Forwards to the embedded clusterer (round-cap telemetry). nullptr
     /// detaches.
     void set_recorder(obs::Recorder* recorder) { clusterer_.set_recorder(recorder); }
@@ -61,6 +65,10 @@ class LocationArbiter {
     /// neighbours. Duplicate reports from one node keep only the earliest.
     /// With `apply_trust_updates` (TrustIndex policy only): winners are
     /// judged correct, losers and thrown-out reporters faulty.
+    ///
+    /// Costs O(reports + clusters x nodes) past the clustering itself, and
+    /// once the scratch below covers the inputs it allocates only the
+    /// returned decisions.
     std::vector<LocationDecision> decide(std::span<const EventReport> reports,
                                          std::span<const util::Vec2> node_positions,
                                          bool apply_trust_updates = true);
@@ -71,6 +79,14 @@ class LocationArbiter {
     double sensing_radius_;
     EventClusterer clusterer_;
     bool weighted_location_ = false;
+    /// reported_[n] != 0 while decide() deduplicates (n already has a kept
+    /// report) and while it partitions one cluster (n reported into it).
+    /// Sized to the largest topology seen, and cleared right after each
+    /// use, so no membership outlives its step.
+    std::vector<unsigned char> reported_;
+    std::vector<std::size_t> kept_;        ///< indices into `reports`
+    std::vector<util::Vec2> locations_;    ///< the kept reports' locations
+    std::vector<EventCluster> clusters_;   ///< the clusterer's output
 };
 
 }  // namespace tibfit::core

@@ -12,6 +12,7 @@
 #include <functional>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +39,13 @@ class BenchIo {
     /// command-line override when given (echoed into the artifact like any
     /// parameter), else `dflt` — the bench's paper-faithful default.
     std::size_t trial_runs(std::size_t dflt) const;
+
+    /// exp::require_valid() under this bench's name: exits 2 with the
+    /// validate() messages of the first invalid scenario. Benches pass
+    /// every scenario a knob reaches before running any of them.
+    void require_valid(std::span<const Scenario> scenarios) const {
+        exp::require_valid(name_, scenarios);
+    }
 
     /// One-line bench description printed at the top of --help.
     void describe(std::string text) { description_ = std::move(text); }

@@ -13,6 +13,7 @@
 #include "obs/names.h"
 #include "obs/recorder.h"
 #include "sensor/mobility.h"
+#include "util/invariant.h"
 
 namespace tibfit::exp {
 
@@ -69,6 +70,38 @@ Scenario to_scenario(const LocationConfig& c) {
     s.location.epoch_events = c.epoch_events;
     s.recorder = c.recorder;
     return s;
+}
+
+LocationScore score_location(std::span<const sensor::GeneratedEvent> events,
+                             std::span<const cluster::DecisionRecord> decisions,
+                             double match_window, double r_error) {
+    constexpr auto time = &cluster::DecisionRecord::time;
+    TIBFIT_CHECK(std::ranges::is_sorted(decisions, {}, time), "decision log is not in time order");
+    LocationScore score;
+    score.event_detected.assign(events.size(), false);
+    std::vector<bool> explained(decisions.size(), false);
+    for (std::size_t e = 0; e < events.size(); ++e) {
+        const auto& ev = events[e];
+        // dec.time - ev.time is monotone in dec.time and negative exactly
+        // when dec.time < ev.time, so the window [0, match_window] is the
+        // run from the first decision at or after the event up to the
+        // first one past the window.
+        const auto first = std::ranges::lower_bound(decisions, ev.time, {}, time);
+        for (auto d = static_cast<std::size_t>(first - decisions.begin()); d < decisions.size();
+             ++d) {
+            const auto& dec = decisions[d];
+            if (dec.time - ev.time > match_window) break;
+            if (!dec.has_location) continue;
+            if (util::distance(dec.location, ev.location) > r_error) continue;
+            explained[d] = true;
+            if (dec.event_declared) score.event_detected[e] = true;
+        }
+        if (score.event_detected[e]) ++score.detected;
+    }
+    for (std::size_t d = 0; d < decisions.size(); ++d) {
+        if (!explained[d] && decisions[d].event_declared) ++score.false_positives;
+    }
+    return score;
 }
 
 LocationResult run_location_experiment(const Scenario& scenario) {
@@ -212,38 +245,24 @@ LocationResult run_location_experiment(const Scenario& scenario) {
     // ---- Scoring ----
     LocationResult result;
     const auto& history = w.generator.history();
-    const auto& decisions = w.decisions;
     result.events = history.size();
     const double match_window = 3.0 * w.engine.t_out + 1.0;
 
-    std::vector<bool> explained(decisions.size(), false);
-    std::vector<bool> event_detected(result.events, false);
-    for (std::size_t e = 0; e < history.size(); ++e) {
-        const auto& ev = history[e];
-        for (std::size_t d = 0; d < decisions.size(); ++d) {
-            const auto& dec = decisions[d];
-            if (!dec.has_location) continue;
-            const double dt = dec.time - ev.time;
-            if (dt < 0.0 || dt > match_window) continue;
-            if (util::distance(dec.location, ev.location) > w.engine.r_error) continue;
-            explained[d] = true;
-            if (dec.event_declared) event_detected[e] = true;
-        }
-        if (event_detected[e]) ++result.detected;
-    }
-    for (std::size_t d = 0; d < decisions.size(); ++d) {
-        if (!explained[d] && decisions[d].event_declared) ++result.false_positives;
-    }
+    const LocationScore score =
+        score_location(history, w.decisions, match_window, w.engine.r_error);
+    result.detected = score.detected;
+    result.false_positives = score.false_positives;
     result.accuracy = result.events ? static_cast<double>(result.detected) /
                                           static_cast<double>(result.events)
                                     : 0.0;
 
     // Per-epoch accuracy series (events are ordered by generation time).
     if (wl.epoch_events > 0) {
-        for (std::size_t i = 0; i < event_detected.size(); i += wl.epoch_events) {
-            const std::size_t end = std::min(i + wl.epoch_events, event_detected.size());
-            const auto hits = std::count(event_detected.begin() + static_cast<std::ptrdiff_t>(i),
-                                         event_detected.begin() + static_cast<std::ptrdiff_t>(end),
+        const std::vector<bool>& detected = score.event_detected;
+        for (std::size_t i = 0; i < detected.size(); i += wl.epoch_events) {
+            const std::size_t end = std::min(i + wl.epoch_events, detected.size());
+            const auto hits = std::count(detected.begin() + static_cast<std::ptrdiff_t>(i),
+                                         detected.begin() + static_cast<std::ptrdiff_t>(end),
                                          true);
             result.epoch_accuracy.push_back(static_cast<double>(hits) /
                                             static_cast<double>(end - i));

@@ -17,10 +17,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "cluster/cluster_head.h"
 #include "cluster/leach.h"
 #include "exp/scenario.h"
+#include "sensor/event_generator.h"
 
 namespace tibfit::obs {
 class Recorder;
@@ -118,6 +121,25 @@ struct LocationResult : RunResult {
     std::vector<double> epoch_accuracy;  ///< accuracy per epoch_events window
     std::vector<cluster::RoundRecord> rounds;  ///< LEACH elections (empty when static)
 };
+
+/// How a decision log scores against ground truth. A decision matches an
+/// event when it carries a location within r_error of the event's and was
+/// made 0 to match_window seconds after it. An event is detected when a
+/// matching decision declared it; a declared decision that matches no
+/// event is a false positive.
+struct LocationScore {
+    std::vector<bool> event_detected;  ///< one per event, in history order
+    std::size_t detected = 0;
+    std::size_t false_positives = 0;
+};
+
+/// Scores `decisions` against `events`. The decisions must be in
+/// non-decreasing time order, as a run logs them (a TIBFIT_CHECK asserts
+/// it): each event then visits only the decisions inside its match
+/// window, found by binary search.
+LocationScore score_location(std::span<const sensor::GeneratedEvent> events,
+                             std::span<const cluster::DecisionRecord> decisions,
+                             double match_window, double r_error);
 
 /// Runs one complete location simulation, including any fault-injection
 /// campaign the scenario carries (channel degradation windows, compromise

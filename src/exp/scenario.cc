@@ -527,8 +527,15 @@ void apply_knobs(int argc, char** argv, std::initializer_list<Knob> knobs) {
         }
     }
     for (const Knob& knob : knobs) {
-        Scenario* const* s = std::get_if<Scenario*>(&knob.target);
-        const std::vector<std::string> errors = s ? (*s)->validate() : std::vector<std::string>{};
+        if (Scenario* const* s = std::get_if<Scenario*>(&knob.target)) require_valid(prog, {*s, 1});
+    }
+}
+
+void require_valid(std::string_view prog, std::span<const Scenario> scenarios) {
+    prog.remove_prefix(prog.rfind('/') + 1);  // npos + 1 == 0
+    const int width = static_cast<int>(prog.size());
+    for (const Scenario& s : scenarios) {
+        const std::vector<std::string> errors = s.validate();
         for (const std::string& e : errors) {
             std::fprintf(stderr, "%.*s: %s\n", width, prog.data(), e.c_str());
         }

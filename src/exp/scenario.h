@@ -238,9 +238,15 @@ struct Knob {
 /// target rejects.
 void apply_knob(std::span<const Knob> knobs, std::string_view token);
 
-/// apply_knob() over argv, then validate() on every Scenario target. On
-/// the first rejection prints `<prog>: '<token>': <why>` (or the
+/// apply_knob() over argv, then require_valid() on every Scenario target.
+/// On the first rejection prints `<prog>: '<token>': <why>` (or the
 /// scenario's messages) to stderr and exits 2.
 void apply_knobs(int argc, char** argv, std::initializer_list<Knob> knobs);
+
+/// Returns when every scenario passes validate(). Otherwise prints each
+/// message of the first invalid one as `<prog>: <message>` to stderr and
+/// exits 2, the exit of a rejected knob. `prog` may be a path (argv[0]);
+/// only its last component is printed.
+void require_valid(std::string_view prog, std::span<const Scenario> scenarios);
 
 }  // namespace tibfit::exp

@@ -1,12 +1,14 @@
-// Heap-allocation budget of a binary trial, as a regression gate.
+// Heap-allocation budgets of a binary and a location trial, as regression
+// gates.
 //
 // This binary replaces the global operator new family with a counting one
-// (which is why it is its own executable), runs the Figure 2 scenario at
-// two event counts, and bounds the allocations each added event costs.
-// Per-event work (schedule, report, deliver, decide, announce, score) is
-// meant to build every packet, decision and event in its final storage, so
-// an added event allocates only what it must keep: its ground-truth
-// neighbour list and the two judgement lists of its decision. A copy
+// (which is why it is its own executable), runs the Figure 2 and Figure 4
+// scenarios at two event counts each, and bounds the allocations each
+// added event costs. Per-event work (schedule, report, deliver, decide,
+// announce, score) is meant to build every packet, decision and event in
+// its final storage, so an added event allocates only what it must keep:
+// in a binary trial, its ground-truth neighbour list and the two judgement
+// lists of its decision. A copy
 // slipping back into that path raises the slope by whole allocations per
 // report or per decision, far past the budget.
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <new>
 
 #include "exp/binary_experiment.h"
+#include "exp/location_experiment.h"
 #include "exp/scenario.h"
 
 namespace {
@@ -90,12 +93,34 @@ Scenario fig2_trial(std::size_t events) {
     return s;
 }
 
-std::uint64_t allocations_of_trial(std::size_t events) {
+/// One bench_fig4 trial: its reported cell (30% level-0 faulty, sigma
+/// 1.6/4.25, TIBFIT).
+Scenario fig4_trial(std::size_t events) {
+    Scenario s = Scenario::location_defaults();
+    s.location.events = events;
+    s.location.pct_faulty = 0.3;
+    s.location.fault_level = sensor::NodeClass::Level0;
+    s.faults.correct_sigma = 1.6;
+    s.faults.faulty_sigma = 4.25;
+    s.seed = 20050628;
+    return s;
+}
+
+template <class Run>
+std::uint64_t allocations_of(Run run) {
     const std::uint64_t before = t_allocations;
-    const BinaryResult r = run_binary_experiment(fig2_trial(events));
+    const auto r = run();
     const std::uint64_t used = t_allocations - before;
     EXPECT_GT(r.accuracy, 0.0);  // the trial really ran
     return used;
+}
+
+std::uint64_t allocations_of_trial(std::size_t events) {
+    return allocations_of([&] { return run_binary_experiment(fig2_trial(events)); });
+}
+
+std::uint64_t allocations_of_location_trial(std::size_t events) {
+    return allocations_of([&] { return run_location_experiment(fig4_trial(events)); });
 }
 
 TEST(AllocBudget, Fig2TrialAllocatesAtMostFourPerAddedEvent) {
@@ -110,6 +135,24 @@ TEST(AllocBudget, Fig2TrialAllocatesAtMostFourPerAddedEvent) {
     RecordProperty("allocations_at_200_events", static_cast<int>(at_200));
     EXPECT_LE(per_event, 4.0) << at_100 << " allocations at 100 events, " << at_200
                               << " at 200";
+}
+
+TEST(AllocBudget, Fig4TrialAllocatesAtMost32PerAddedEvent) {
+    // The location path decides each window in the engine's, arbiter's
+    // and clusterer's reused scratch, so an added event allocates what it
+    // keeps (its neighbour list, its circle's member list, its decisions'
+    // node lists and announcements) plus a share of the scratch each new
+    // leadership regrows: 26.3 per event. Before that path ran in place it
+    // cost 111.6. The bound leaves about 20% headroom.
+    allocations_of_location_trial(100);
+    const std::uint64_t at_100 = allocations_of_location_trial(100);
+    const std::uint64_t at_200 = allocations_of_location_trial(200);
+    ASSERT_GT(at_200, at_100);
+    const double per_event = static_cast<double>(at_200 - at_100) / 100.0;
+    RecordProperty("allocations_at_100_events", static_cast<int>(at_100));
+    RecordProperty("allocations_at_200_events", static_cast<int>(at_200));
+    EXPECT_LE(per_event, 32.0) << at_100 << " allocations at 100 events, " << at_200
+                               << " at 200";
 }
 
 }  // namespace

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <optional>
 #include <vector>
+
+#include "util/geometry.h"
+#include "util/rng.h"
 
 namespace tibfit::core {
 namespace {
@@ -196,6 +202,134 @@ TEST(ConcurrentManager, NextDeadlineSurvivesPartialReleaseOfOverlapComponent) {
     EXPECT_EQ(m.collect_ready(1.6).size(), 1u);
     ASSERT_TRUE(m.next_deadline().has_value());
     EXPECT_EQ(*m.next_deadline(), 2.0);
+}
+
+/// ConcurrentEventManager as it was before its early return, member
+/// scratch and in-place compaction: fresh union-find, ready flags and
+/// group table per call, and a rebuilt circle list. Kept as the
+/// differential reference.
+class RebuildingManager {
+  public:
+    RebuildingManager(double r_error, double t_out) : r_error_(r_error), t_out_(t_out) {}
+
+    void add_report(double now, std::size_t report_index, const util::Vec2& loc) {
+        for (auto& c : circles_) {
+            if (c.circle.contains(loc)) {
+                c.members.push_back(report_index);
+                return;
+            }
+        }
+        const double deadline = now + t_out_;
+        circles_.push_back({util::Circle{loc, r_error_}, deadline, {report_index}});
+        if (!next_deadline_ || deadline < *next_deadline_) next_deadline_ = deadline;
+    }
+
+    std::vector<ReportGroup> collect_ready(double now) {
+        const std::size_t n = circles_.size();
+        std::vector<ReportGroup> out;
+        if (n == 0) return out;
+        std::vector<std::size_t> parent(n);
+        for (std::size_t i = 0; i < n; ++i) parent[i] = i;
+        auto find = [&](std::size_t x) {
+            while (parent[x] != x) x = parent[x] = parent[parent[x]];
+            return x;
+        };
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = i + 1; j < n; ++j) {
+                if (util::circles_overlap(circles_[i].circle, circles_[j].circle)) {
+                    parent[find(j)] = find(i);
+                }
+            }
+        }
+        std::vector<bool> component_ready(n, true);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (circles_[i].deadline > now) component_ready[find(i)] = false;
+        }
+        std::vector<ReportGroup> group_of_root(n);
+        std::vector<bool> released(n, false);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t r = find(i);
+            if (!component_ready[r]) continue;
+            auto& g = group_of_root[r];
+            g.insert(g.end(), circles_[i].members.begin(), circles_[i].members.end());
+            released[i] = true;
+        }
+        for (std::size_t r = 0; r < n; ++r) {
+            if (!group_of_root[r].empty()) out.push_back(std::move(group_of_root[r]));
+        }
+        std::vector<Circle> rest;
+        next_deadline_.reset();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (released[i]) continue;
+            if (!next_deadline_ || circles_[i].deadline < *next_deadline_) {
+                next_deadline_ = circles_[i].deadline;
+            }
+            rest.push_back(std::move(circles_[i]));
+        }
+        circles_ = std::move(rest);
+        return out;
+    }
+
+    std::optional<double> next_deadline() const { return next_deadline_; }
+    std::size_t open_circles() const { return circles_.size(); }
+
+  private:
+    struct Circle {
+        util::Circle circle;
+        double deadline;
+        std::vector<std::size_t> members;
+    };
+    double r_error_;
+    double t_out_;
+    std::vector<Circle> circles_;
+    std::optional<double> next_deadline_;
+};
+
+TEST(ConcurrentManager, MatchesRebuildingReference) {
+    // Seeded add/collect sequences on a crowded field, so overlap chains
+    // (whose union-find root is not their first circle) are common.
+    // Collections land before any deadline, exactly on one, and past
+    // several; groups, their order, open circles and the cached deadline
+    // must match the reference bit for bit.
+    util::Rng rng(1717);
+    std::size_t early_calls = 0, released = 0, multi_group_calls = 0;
+    for (int seq = 0; seq < 60; ++seq) {
+        SCOPED_TRACE(seq);
+        const double t_out = rng.uniform(0.5, 2.0);
+        ConcurrentEventManager m(5.0, t_out);
+        RebuildingManager ref(5.0, t_out);
+        double now = 0.0;
+        std::size_t idx = 0;
+        for (int step = 0; step < 80; ++step) {
+            if (rng.uniform() < 0.6) {
+                now += rng.exponential(4.0);
+                const util::Vec2 loc = rng.point_in_rect(40, 40);
+                m.add_report(now, idx, loc);
+                ref.add_report(now, idx, loc);
+                ++idx;
+            } else {
+                double at = now + rng.uniform(0.0, t_out);
+                if (rng.uniform() < 0.3 && ref.next_deadline()) at = *ref.next_deadline();
+                if (ref.next_deadline() && at < *ref.next_deadline()) ++early_calls;
+                now = std::max(now, at);
+                const auto want = ref.collect_ready(now);
+                const auto got = m.collect_ready(now);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t g = 0; g < got.size(); ++g) EXPECT_EQ(got[g], want[g]);
+                released += got.size();
+                multi_group_calls += got.size() > 1;
+            }
+            ASSERT_EQ(m.open_circles(), ref.open_circles());
+            ASSERT_EQ(m.next_deadline().has_value(), ref.next_deadline().has_value());
+            if (ref.next_deadline()) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(*m.next_deadline()),
+                          std::bit_cast<std::uint64_t>(*ref.next_deadline()));
+            }
+        }
+    }
+    EXPECT_GT(early_calls, 0u);
+    EXPECT_GT(released, 0u);
+    EXPECT_GT(multi_group_calls, 0u);
 }
 
 }  // namespace

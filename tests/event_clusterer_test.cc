@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
+#include "obs/names.h"
+#include "obs/recorder.h"
 #include "util/rng.h"
 
 namespace tibfit::core {
@@ -180,6 +183,52 @@ TEST_P(ClustererFuzz, TerminatesAndPartitions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClustererFuzz, ::testing::Range(1, 21));
+
+TEST(EventClusterer, ReusedClustererMatchesFresh) {
+    // One clusterer and one output vector per round cap, fed a seeded
+    // sequence of inputs that grow and shrink (empty and single-point ones
+    // included), must match a fresh clusterer per input bit for bit, also
+    // right after its scratch was released. The cap-1 clusterer also takes
+    // the truncation path, which must fire for the same inputs.
+    const std::vector<util::Vec2> needs_two_rounds = {{0.0, 0.0}, {5.2, 0.0}, {2.6, 4.0}};
+    util::Rng rng(1723);
+    for (std::size_t max_rounds : {EventClusterer::kDefaultMaxRounds, std::size_t{1}}) {
+        SCOPED_TRACE(max_rounds);
+        obs::Recorder reused_rec, fresh_rec;
+        EventClusterer reused(5.0, max_rounds);
+        reused.set_recorder(&reused_rec);
+        std::vector<EventCluster> out;
+        for (int input = 0; input < 200; ++input) {
+            SCOPED_TRACE(input);
+            std::vector<util::Vec2> pts;
+            if (input % 7 == 3) {
+                pts = needs_two_rounds;
+            } else {
+                const std::size_t n = rng.uniform_index(input % 5 == 0 ? 3 : 60);
+                const double side = rng.uniform(10.0, 80.0);
+                for (std::size_t i = 0; i < n; ++i) pts.push_back(rng.point_in_rect(side, side));
+            }
+            if (input % 50 == 49) reused.release_scratch();
+            reused.cluster(pts, out);
+            EventClusterer fresh(5.0, max_rounds);
+            fresh.set_recorder(&fresh_rec);
+            const auto want = std::as_const(fresh).cluster(pts);
+            ASSERT_EQ(out.size(), want.size());
+            for (std::size_t c = 0; c < out.size(); ++c) {
+                EXPECT_EQ(out[c].cg.x, want[c].cg.x);
+                EXPECT_EQ(out[c].cg.y, want[c].cg.y);
+                EXPECT_EQ(out[c].members, want[c].members);
+            }
+        }
+        const auto hits = [](obs::Recorder& rec) {
+            return rec.metrics().counter(obs::metric::kClustererRoundCapHits).value();
+        };
+        EXPECT_EQ(hits(reused_rec), hits(fresh_rec));
+        if (max_rounds == 1) {
+            EXPECT_GT(hits(reused_rec), 0u);
+        }
+    }
+}
 
 }  // namespace
 }  // namespace tibfit::core

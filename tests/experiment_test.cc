@@ -3,12 +3,16 @@
 // seeds (small event counts keep these fast).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <variant>
 
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "obs/recorder.h"
+#include "util/invariant.h"
+#include "util/rng.h"
 
 namespace tibfit::exp {
 namespace {
@@ -285,6 +289,122 @@ TEST(Sweep, LocationSweepShapes) {
         c, {0.1, 0.58}, [](Scenario& cfg, double x) { cfg.location.pct_faulty = x; }, 2);
     ASSERT_EQ(accs.size(), 2u);
     EXPECT_GE(accs[0], accs[1]);
+}
+
+/// The scorer as it was before the time window: every event against every
+/// decision. Kept as the differential reference for score_location.
+LocationScore all_pairs_score(std::span<const sensor::GeneratedEvent> events,
+                              std::span<const cluster::DecisionRecord> decisions,
+                              double match_window, double r_error) {
+    LocationScore score;
+    score.event_detected.assign(events.size(), false);
+    std::vector<bool> explained(decisions.size(), false);
+    for (std::size_t e = 0; e < events.size(); ++e) {
+        for (std::size_t d = 0; d < decisions.size(); ++d) {
+            const auto& dec = decisions[d];
+            if (!dec.has_location) continue;
+            const double dt = dec.time - events[e].time;
+            if (dt < 0.0 || dt > match_window) continue;
+            if (util::distance(dec.location, events[e].location) > r_error) continue;
+            explained[d] = true;
+            if (dec.event_declared) score.event_detected[e] = true;
+        }
+        if (score.event_detected[e]) ++score.detected;
+    }
+    for (std::size_t d = 0; d < decisions.size(); ++d) {
+        if (!explained[d] && decisions[d].event_declared) ++score.false_positives;
+    }
+    return score;
+}
+
+void expect_same_score(const LocationScore& got, const LocationScore& want) {
+    EXPECT_EQ(got.event_detected, want.event_detected);
+    EXPECT_EQ(got.detected, want.detected);
+    EXPECT_EQ(got.false_positives, want.false_positives);
+}
+
+TEST(LocationScore, MatchesAllPairsReference) {
+    // Seeded logs: events in any time order, decisions in time order with
+    // runs of equal times, decisions at exactly dt = 0 and dt = window,
+    // decisions without a location, and empty histories on either side.
+    util::ScopedInvariantAction checks(util::InvariantAction::Throw);
+    const double window = 4.0, r_error = 5.0;
+    util::Rng rng(1729);
+    std::size_t detected = 0, false_positives = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE(trial);
+        std::vector<sensor::GeneratedEvent> events(rng.uniform_index(trial % 10 == 0 ? 2 : 30));
+        for (auto& ev : events) {
+            ev.time = std::floor(rng.uniform(0.0, 60.0));
+            ev.location = rng.point_in_rect(30, 30);
+        }
+        std::vector<cluster::DecisionRecord> decisions(rng.uniform_index(trial % 10 == 5 ? 2 : 40));
+        double t = 0.0;
+        for (auto& dec : decisions) {
+            const double u = rng.uniform();
+            if (u < 0.2 && !events.empty()) {
+                // On an event's own time or the far edge of its window.
+                const auto& ev = events[rng.uniform_index(events.size())];
+                t = std::max(t, ev.time + (u < 0.1 ? 0.0 : window));
+                dec.location = ev.location + util::Vec2{rng.uniform(-4, 4), rng.uniform(-4, 4)};
+            } else {
+                if (u > 0.3) t += rng.exponential(0.5);  // else: same time as before
+                dec.location = rng.point_in_rect(30, 30);
+            }
+            dec.time = t;
+            dec.has_location = rng.uniform() < 0.9;
+            dec.event_declared = rng.uniform() < 0.7;
+        }
+        const LocationScore got = score_location(events, decisions, window, r_error);
+        expect_same_score(got, all_pairs_score(events, decisions, window, r_error));
+        detected += got.detected;
+        false_positives += got.false_positives;
+    }
+    EXPECT_GT(detected, 0u);
+    EXPECT_GT(false_positives, 0u);
+}
+
+TEST(LocationScore, WindowEdgesAreInclusive) {
+    sensor::GeneratedEvent ev;
+    ev.time = 10.0;
+    ev.location = {50, 50};
+    const auto decision_at = [](double time, bool has_location) {
+        cluster::DecisionRecord d;
+        d.time = time;
+        d.has_location = has_location;
+        d.location = {52, 50};
+        d.event_declared = true;
+        return d;
+    };
+    const std::vector<sensor::GeneratedEvent> events{ev};
+    for (const auto& [time, matches] :
+         {std::pair{10.0, true}, std::pair{14.0, true}, std::pair{std::nextafter(10.0, 0.0), false},
+          std::pair{std::nextafter(14.0, 20.0), false}}) {
+        SCOPED_TRACE(time);
+        const std::vector<cluster::DecisionRecord> decisions{decision_at(time, true)};
+        const LocationScore s = score_location(events, decisions, 4.0, 5.0);
+        EXPECT_EQ(s.detected, matches ? 1u : 0u);
+        EXPECT_EQ(s.false_positives, matches ? 0u : 1u);
+    }
+    // Several decisions at one time, one without a location: that one
+    // explains nothing and counts as a false positive.
+    const std::vector<cluster::DecisionRecord> tied{decision_at(12.0, false),
+                                                    decision_at(12.0, true)};
+    const LocationScore s = score_location(events, tied, 4.0, 5.0);
+    EXPECT_EQ(s.detected, 1u);
+    EXPECT_EQ(s.false_positives, 1u);
+
+    const LocationScore none = score_location({}, {}, 4.0, 5.0);
+    EXPECT_TRUE(none.event_detected.empty());
+    EXPECT_EQ(none.detected + none.false_positives, 0u);
+}
+
+TEST(LocationScore, DecisionsOutOfTimeOrderFailTheCheck) {
+    util::ScopedInvariantAction checks(util::InvariantAction::Throw);
+    std::vector<cluster::DecisionRecord> decisions(2);
+    decisions[0].time = 5.0;
+    decisions[1].time = 4.0;
+    EXPECT_THROW(score_location({}, decisions, 4.0, 5.0), std::logic_error);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "core/baseline_voter.h"
+#include "util/rng.h"
 
 namespace tibfit::core {
 namespace {
@@ -244,6 +247,194 @@ TEST(LocationArbiter, NoReportersMeansNoEvent) {
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_FALSE(decisions[0].event_declared);
     EXPECT_EQ(decisions[0].thrown_out.size(), 1u);
+}
+
+/// LocationArbiter::decide as it was before its reusable mask and buffers:
+/// hash sets for the dedupe and for each cluster's reporters, fresh
+/// vectors throughout. Kept as the differential reference.
+std::vector<LocationDecision> hash_set_decide(TrustManager& trust, DecisionPolicy policy,
+                                              bool weighted_location,
+                                              std::span<const EventReport> reports,
+                                              std::span<const util::Vec2> node_positions) {
+    const bool stateful = policy == DecisionPolicy::TrustIndex;
+    std::vector<std::size_t> kept;
+    {
+        std::unordered_set<NodeId> seen;
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+            if (!reports[i].has_location()) continue;
+            if (reports[i].reporter >= node_positions.size()) continue;
+            if (stateful && trust.is_isolated(reports[i].reporter)) continue;
+            if (seen.insert(reports[i].reporter).second) kept.push_back(i);
+        }
+    }
+    std::vector<util::Vec2> locations;
+    for (std::size_t i : kept) locations.push_back(*reports[i].location);
+    const auto clusters = EventClusterer(kRerr).cluster(locations);
+
+    const double plaus = kRs + kRerr;
+    const double rs2 = kRs * kRs;
+    const double plaus2 = plaus * plaus;
+    std::vector<LocationDecision> out;
+    for (const auto& cl : clusters) {
+        LocationDecision d;
+        d.location = cl.cg;
+        if (weighted_location && stateful) {
+            util::Vec2 sum;
+            double total = 0.0;
+            for (std::size_t m : cl.members) {
+                const auto& r = reports[kept[m]];
+                const double w = trust.ti(r.reporter);
+                sum += *r.location * w;
+                total += w;
+            }
+            if (total > 1e-9) d.location = sum / total;
+        }
+        std::unordered_set<NodeId> cluster_reporters;
+        for (std::size_t m : cl.members) cluster_reporters.insert(reports[kept[m]].reporter);
+        for (NodeId n = 0; n < node_positions.size(); ++n) {
+            if (stateful && trust.is_isolated(n)) continue;
+            const double d2 = util::distance2(node_positions[n], d.location);
+            if (cluster_reporters.count(n) != 0) {
+                if (d2 <= plaus2) {
+                    d.reporters.push_back(n);
+                    d.weight_reporters += stateful ? trust.ti(n) : 1.0;
+                } else {
+                    d.thrown_out.push_back(n);
+                }
+            } else if (d2 <= rs2) {
+                d.silent.push_back(n);
+                d.weight_silent += stateful ? trust.ti(n) : 1.0;
+            }
+        }
+        d.event_declared = !d.reporters.empty() && d.weight_reporters >= d.weight_silent;
+        if (stateful) {
+            const auto& winners = d.event_declared ? d.reporters : d.silent;
+            const auto& losers = d.event_declared ? d.silent : d.reporters;
+            for (NodeId n : winners) trust.judge_correct(n);
+            for (NodeId n : losers) trust.judge_faulty(n);
+            for (NodeId n : d.thrown_out) trust.judge_faulty(n);
+        }
+        out.push_back(std::move(d));
+    }
+    return out;
+}
+
+TEST(LocationArbiter, MatchesHashSetReference) {
+    // Seeded differential run over one reused arbiter per configuration
+    // (TIBFIT plain, TIBFIT trust-weighted, majority), each with trust
+    // updates on so nodes get isolated. Every window draws a topology of
+    // varying size (non-members parked at the CH's "nowhere" position,
+    // nodes moved between windows), duplicate reporters, reporters at or
+    // past the topology's end and reports without a location.
+    constexpr util::Vec2 kNowhere{1e9, 1e9};
+    auto p = params();
+    p.removal_ti = 0.3;
+    struct Config {
+        DecisionPolicy policy;
+        bool weighted;
+        TrustManager trust;
+        TrustManager ref_trust;
+    };
+    std::vector<Config> configs;
+    for (const auto& [policy, weighted] :
+         {std::pair{DecisionPolicy::TrustIndex, false}, std::pair{DecisionPolicy::TrustIndex, true},
+          std::pair{DecisionPolicy::MajorityVote, false}}) {
+        configs.push_back({policy, weighted, TrustManager(p), TrustManager(p)});
+    }
+    std::vector<LocationArbiter> arbiters;
+    for (Config& c : configs) {
+        arbiters.emplace_back(c.trust, c.policy, kRs, kRerr);
+        arbiters.back().set_trust_weighted_location(c.weighted);
+    }
+
+    util::Rng rng(1707);
+    std::vector<util::Vec2> pos;
+    std::size_t isolated_seen = 0, thrown_out_seen = 0, multi_cluster_seen = 0;
+    for (int window = 0; window < 300; ++window) {
+        SCOPED_TRACE(window);
+        // Topology: grows, shrinks and moves; some nodes are non-members.
+        pos.resize(1 + rng.uniform_index(40));
+        for (auto& q : pos) {
+            q = rng.uniform() < 0.1 ? kNowhere : rng.point_in_rect(60, 60);
+        }
+        const std::size_t n_events = 1 + rng.uniform_index(3);
+        std::vector<util::Vec2> events;
+        for (std::size_t e = 0; e < n_events; ++e) events.push_back(rng.point_in_rect(60, 60));
+        std::vector<EventReport> reports(rng.uniform_index(30));
+        for (auto& r : reports) {
+            r.reporter = static_cast<NodeId>(rng.uniform_index(pos.size() + 4));
+            r.time = rng.uniform();
+            const double u = rng.uniform();
+            if (u < 0.05) continue;  // no location
+            const util::Vec2 at = u < 0.15 ? rng.point_in_rect(60, 60)
+                                           : events[rng.uniform_index(n_events)];
+            r.location = at + util::Vec2{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
+        }
+
+        for (std::size_t k = 0; k < configs.size(); ++k) {
+            Config& c = configs[k];
+            for (NodeId n = 0; n < pos.size(); ++n) isolated_seen += c.trust.is_isolated(n);
+            const auto want =
+                hash_set_decide(c.ref_trust, c.policy, c.weighted, reports, pos);
+            const auto got = arbiters[k].decide(reports, pos, true);
+            ASSERT_EQ(got.size(), want.size());
+            multi_cluster_seen += got.size() > 1;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                // Bit-equal: both sum the same TIs in ascending id order.
+                EXPECT_EQ(got[i].location.x, want[i].location.x);
+                EXPECT_EQ(got[i].location.y, want[i].location.y);
+                EXPECT_EQ(got[i].weight_reporters, want[i].weight_reporters);
+                EXPECT_EQ(got[i].weight_silent, want[i].weight_silent);
+                EXPECT_EQ(got[i].event_declared, want[i].event_declared);
+                EXPECT_EQ(got[i].reporters, want[i].reporters);
+                EXPECT_EQ(got[i].silent, want[i].silent);
+                EXPECT_EQ(got[i].thrown_out, want[i].thrown_out);
+                thrown_out_seen += got[i].thrown_out.size();
+            }
+            EXPECT_EQ(c.trust.export_v(), c.ref_trust.export_v());
+        }
+    }
+    EXPECT_GT(isolated_seen, 0u);
+    EXPECT_GT(thrown_out_seen, 0u);
+    EXPECT_GT(multi_cluster_seen, 0u);
+}
+
+TEST(LocationArbiter, ReusedArbiterForgetsPreviousReporters) {
+    TrustManager tm(params());
+    LocationArbiter arb(tm, DecisionPolicy::TrustIndex, kRs, kRerr);
+    const auto pos = lattice();
+    std::vector<EventReport> all;
+    for (NodeId n = 0; n < 9; ++n) all.push_back(report(n, {10, 10}));
+    auto d = arb.decide(all, pos, false);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].reporters.size(), 9u);
+
+    // One reporter now: every earlier one must be silent, not a reporter
+    // or a duplicate to be dropped.
+    d = arb.decide(std::vector<EventReport>{report(8, {10, 10})}, pos, false);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].reporters, (std::vector<NodeId>{8}));
+    EXPECT_EQ(d[0].silent, (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+    // A smaller topology after a larger one, with the scratch released in
+    // between: node 8 is gone, and its report is ignored rather than
+    // remembered.
+    arb.release_scratch();
+    const std::vector<util::Vec2> small(pos.begin(), pos.begin() + 4);
+    d = arb.decide(std::vector<EventReport>{report(8, {10, 10}), report(0, {10, 10})}, small,
+                   false);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].reporters, (std::vector<NodeId>{0}));
+    EXPECT_EQ(d[0].silent, (std::vector<NodeId>{1, 2, 3}));
+
+    // Two clusters in one call, 20 units apart: each cluster's reporter is
+    // a silent neighbour of the other, never a reporter into it.
+    d = arb.decide(std::vector<EventReport>{report(0, {0, 0}), report(2, {20, 0})}, pos, false);
+    ASSERT_EQ(d.size(), 2u);
+    EXPECT_EQ(d[0].reporters, (std::vector<NodeId>{0}));
+    EXPECT_EQ(d[0].silent, (std::vector<NodeId>{1, 2, 3, 4, 6}));
+    EXPECT_EQ(d[1].reporters, (std::vector<NodeId>{2}));
+    EXPECT_EQ(d[1].silent, (std::vector<NodeId>{0, 1, 4, 5, 8}));
 }
 
 }  // namespace

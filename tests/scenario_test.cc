@@ -639,6 +639,23 @@ TEST(BenchIoDeathTest, WrongTypedKnobsExitTwo) {
                 ::testing::ExitedWithCode(2), "invalid value '-1' for runs=");
 }
 
+// A knob that parses but leaves a scenario invalid exits 2 with the
+// validate() messages, under the bench's name, before anything runs.
+TEST(BenchIoDeathTest, InvalidScenarioExitsTwo) {
+    Scenario ok = Scenario::binary_defaults();
+    Scenario bad = ok;
+    bad.binary.events = 0;
+    const std::vector<Scenario> cells{ok, bad, ok};
+    char name[] = "bench_fig2";
+    char* argv[] = {name};
+    const BenchIo io("bench_fig2", 1, argv);
+    io.require_valid({&ok, 1});  // returns
+    EXPECT_EXIT(io.require_valid(cells), ::testing::ExitedWithCode(2),
+                "bench_fig2: scenario: binary events must be >= 1");
+    EXPECT_EXIT(require_valid("/some/dir/self_organizing", cells), ::testing::ExitedWithCode(2),
+                "^self_organizing: scenario: binary events must be >= 1");
+}
+
 // A bench that declares no option still names a key it does not read.
 TEST(BenchIoDeathTest, UndeclaredKnobWarns) {
     char name[] = "bench_fig3";
