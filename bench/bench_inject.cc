@@ -22,6 +22,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,7 @@
 #include "exp/binary_experiment.h"
 #include "exp/sweep.h"
 #include "inject/campaign.h"
-#include "obs/json.h"
+#include "obs/fields.h"
 #include "obs/recorder.h"
 #include "util/table.h"
 
@@ -98,6 +99,26 @@ int main(int argc, char** argv) {
     exp::Scenario base = exp::Scenario::binary_defaults();
     base.binary.events = events;
     base.seed = seed;
+    exp::Scenario fb = base;  // Table B's and the replay's base
+    fb.faults.false_alarm_rate = false_alarm_rate;
+
+    // A campaign file is read and validated before any sweep runs.
+    exp::Scenario replay = fb;
+    replay.binary.pct_faulty = 0.4;
+    replay.binary.reliable_reports = true;
+    if (!campaign_path.empty()) {
+        try {
+            std::ifstream in(campaign_path);
+            if (!in) throw std::runtime_error("cannot open file");
+            std::ostringstream text;
+            text << in.rdbuf();
+            obs::fields::read_value(obs::json::parse(text.str()), replay.campaign, "", "campaign");
+        } catch (const std::runtime_error& e) {
+            std::cerr << "bench_inject: " << campaign_path << ": " << e.what() << '\n';
+            return 2;
+        }
+        io.require_valid({&replay, 1});
+    }
 
     // ---- Table A: accuracy vs injected extra loss ----
     const std::vector<double> losses =
@@ -128,8 +149,6 @@ int main(int argc, char** argv) {
     // raise coordinated false alarms, so the successor's trust table is
     // what separates declared events from phantoms.
     const double kill_at = 0.5 * static_cast<double>(events) * base.binary.event_interval;
-    exp::Scenario fb = base;
-    fb.faults.false_alarm_rate = false_alarm_rate;
     const std::vector<double> pcts =
         smoke ? std::vector<double>{0.4} : std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
     cells.clear();
@@ -156,26 +175,8 @@ int main(int argc, char** argv) {
     io.emit(b);
 
     // ---- Optional: replay a canned campaign spec from JSON ----
-    exp::Scenario replay = fb;
-    bool have_replay = false;
-    if (!campaign_path.empty()) {
-        std::ifstream in(campaign_path);
-        if (!in) {
-            std::cerr << "bench_inject: cannot open campaign file " << campaign_path << '\n';
-            return 1;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        replay.campaign = inject::campaign_from_json(obs::json::parse(text.str()));
-        replay.binary.pct_faulty = 0.4;
-        replay.binary.reliable_reports = true;
-        const auto errors = replay.validate();
-        if (!errors.empty()) {
-            for (const auto& e : errors) std::cerr << "bench_inject: " << e << '\n';
-            return 1;
-        }
-        have_replay = true;
-
+    const bool have_replay = !campaign_path.empty();
+    if (have_replay) {
         exp::BinaryResult r = exp::run_binary_experiment(replay);
         util::Table c("Campaign replay: " + campaign_path);
         c.header({"accuracy", "detected", "fa windows", "phantoms"});

@@ -11,18 +11,20 @@
 // See docs/CHECKING.md.
 #pragma once
 
+#include <span>
+#include <string_view>
+#include <utility>
+
 namespace tibfit::check {
 
 enum class Mode { Off, Shadow, Assert };
 
-inline const char* mode_name(Mode m) {
-    switch (m) {
-        case Mode::Off: return "off";
-        case Mode::Shadow: return "shadow";
-        case Mode::Assert: return "assert";
-    }
-    return "off";
-}
+/// The modes' names, in enum order (scenario JSON and key=value).
+inline constexpr std::pair<Mode, std::string_view> kModeNames[] = {
+    {Mode::Off, "off"}, {Mode::Shadow, "shadow"}, {Mode::Assert, "assert"}};
+inline auto names(Mode) { return std::span(kModeNames); }
+
+inline const char* mode_name(Mode m) { return kModeNames[static_cast<int>(m)].second.data(); }
 
 /// The scenario-level settings block (serialized as {"check": {...}}).
 struct Settings {

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/trust.h"
@@ -19,6 +21,11 @@ enum class DecisionPolicy {
     TrustIndex,    ///< TIBFIT: weight each node by its TI, update trust.
     MajorityVote,  ///< Baseline: weight each node 1, no state.
 };
+
+/// The policies' names (scenario JSON and key=value).
+inline constexpr std::pair<DecisionPolicy, std::string_view> kPolicyNames[] = {
+    {DecisionPolicy::TrustIndex, "trust_index"}, {DecisionPolicy::MajorityVote, "majority_vote"}};
+inline auto names(DecisionPolicy) { return std::span(kPolicyNames); }
 
 /// Outcome of one binary event decision.
 struct BinaryDecision {

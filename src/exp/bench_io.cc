@@ -13,6 +13,7 @@
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
 #include "obs/artifact.h"
+#include "obs/fields.h"
 #include "obs/recorder.h"
 #include "par/jobs.h"
 
@@ -33,7 +34,7 @@ void apply_jobs(std::string_view value, const std::string& bench) {
 template <class T>
 T BenchIo::read(const std::string& key, T dflt, const char* expects) const {
     const auto it = params_.find(key);
-    if (it != params_.end() && !parse_value(it->second, dflt)) {
+    if (it != params_.end() && !obs::fields::parse_text(it->second, dflt)) {
         std::cerr << name_ << ": invalid value '" << it->second << "' for " << key
                   << "= (expects " << expects << ")\n";
         std::exit(2);

@@ -56,7 +56,7 @@ class BenchIo {
     /// defaults are never echoed, so the artifact's parameter echo keeps
     /// carrying exactly what the user typed plus what the bench sets with
     /// param() (artifact shape is part of the determinism-CI diff). Values
-    /// parse by exp::parse_value's rules; a malformed one exits 2.
+    /// parse by obs::fields::parse_text's rules; a malformed one exits 2.
     long option(const std::string& key, long dflt, const std::string& help);
     long option(const std::string& key, int dflt, const std::string& help) {
         return option(key, static_cast<long>(dflt), help);

@@ -1,73 +1,35 @@
 #include "exp/scenario.h"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
 
-#include "obs/json.h"
+#include "obs/fields.h"
 
 namespace tibfit::exp {
 
-namespace {
-
-// The JSON spellings of the enum fields.
+// The JSON spellings of the enums declared here; the other enum fields
+// name their values beside their own types.
 constexpr std::pair<Scenario::Kind, std::string_view> kKinds[] = {
     {Scenario::Kind::Binary, "binary"}, {Scenario::Kind::Location, "location"}};
-constexpr std::pair<core::DecisionPolicy, std::string_view> kPolicies[] = {
-    {core::DecisionPolicy::TrustIndex, "trust_index"},
-    {core::DecisionPolicy::MajorityVote, "majority_vote"}};
-constexpr std::pair<sensor::NodeClass, std::string_view> kFaultLevels[] = {
-    {sensor::NodeClass::Correct, "correct"},
-    {sensor::NodeClass::Level0, "level0"},
-    {sensor::NodeClass::Level1, "level1"},
-    {sensor::NodeClass::Level2, "level2"}};
 constexpr std::pair<Clustering, std::string_view> kClusterings[] = {
     {Clustering::Static, "static"}, {Clustering::Leach, "leach"}};
-const std::pair<check::Mode, std::string_view> kCheckModes[] = {
-    {check::Mode::Off, check::mode_name(check::Mode::Off)},
-    {check::Mode::Shadow, check::mode_name(check::Mode::Shadow)},
-    {check::Mode::Assert, check::mode_name(check::Mode::Assert)}};
 
 auto names(Scenario::Kind) { return std::span(kKinds); }
-auto names(core::DecisionPolicy) { return std::span(kPolicies); }
-auto names(sensor::NodeClass) { return std::span(kFaultLevels); }
 auto names(Clustering) { return std::span(kClusterings); }
-auto names(check::Mode) { return std::span(kCheckModes); }
-
-template <class E>
-std::string_view name_of(E e) {
-    for (const auto& [value, name] : names(e)) {
-        if (value == e) return name;
-    }
-    return {};
-}
-
-template <class E>
-bool parse_name(std::string_view text, E& out) {
-    for (const auto& [value, name] : names(out)) {
-        if (name == text) {
-            out = value;
-            return true;
-        }
-    }
-    return false;
-}
 
 // ---- The field list ----
 
-/// Scenario's serialized fields in JSON write order: `f(path, field)` once
-/// per field, the path dotted by JSON object nesting. `kind` (which picks
-/// the defaults) and `campaign` (which has its own JSON codec) are listed
-/// as themselves; every consumer treats those two specially.
-template <class S, class F>
+/// Scenario's serialized fields in JSON write order (obs/fields.h derives
+/// the codec): `f(path, field)` once per field, the path dotted by JSON
+/// object nesting. `kind` picks the defaults a read starts from, and
+/// `campaign` is a field-listed struct; key=value sets neither.
+template <obs::fields::Is<Scenario> S, class F>
 void for_each_field(S& s, F&& f) {
     f("kind", s.kind);
     f("seed", s.seed);
@@ -139,92 +101,18 @@ void for_each_field(S& s, F&& f) {
     f("location.leach.initial_energy", s.location.leach.initial_energy);
 }
 
-// ---- Field kinds ----
+namespace {
 
-template <class T>
-constexpr bool kIsCount = std::is_integral_v<T> && !std::is_same_v<T, bool>;
-
-/// kind and campaign: listed, but not settable by key=value.
-template <class T>
-constexpr bool kIsSpecial =
-    std::is_same_v<T, Scenario::Kind> || std::is_same_v<T, inject::CampaignSpec>;
+using obs::fields::expects;
+using obs::fields::name_of;
+using obs::fields::parse_text;
 
 template <class T>
 using Field = std::remove_cvref_t<T>;
 
-/// An integer field's largest value: its type's maximum, capped at 2^53
-/// (the largest integer a JSON number carries exactly) so that every
-/// value key=value can set also round-trips through JSON.
+/// kind and campaign: listed, but not settable by key=value.
 template <class T>
-constexpr std::uint64_t kCountMax =
-    std::min<std::uint64_t>(std::numeric_limits<T>::max(), std::uint64_t{1} << 53);
-
-template <class T>
-std::string expects(const T& field) {
-    if constexpr (std::is_same_v<T, double>) {
-        return "a finite number";
-    } else if constexpr (std::is_same_v<T, bool>) {
-        return "true or false";
-    } else if constexpr (kIsCount<T>) {
-        return "an integer in [0, " + std::to_string(kCountMax<T>) + "]";
-    } else {
-        std::string out;
-        for (const auto& [value, name] : names(field)) {
-            out += out.empty() ? "one of " : "|";
-            out += name;
-        }
-        return out;
-    }
-}
-
-/// Whole-string text parse in the field's type; false leaves `out` as is.
-template <class T>
-bool parse_text(std::string_view text, T& out) {
-    const char* end = text.data() + text.size();
-    if constexpr (std::is_same_v<T, double>) {
-        double v = 0.0;
-        const auto [p, ec] = std::from_chars(text.data(), end, v);
-        if (ec != std::errc{} || p != end || !std::isfinite(v)) return false;
-        out = v;
-    } else if constexpr (std::is_same_v<T, bool>) {
-        if (text != "true" && text != "false") return false;
-        out = text == "true";
-    } else if constexpr (kIsCount<T>) {
-        std::uint64_t v = 0;  // unsigned: from_chars rejects a sign
-        const auto [p, ec] = std::from_chars(text.data(), end, v);
-        if (ec != std::errc{} || p != end || v > kCountMax<T>) return false;
-        out = static_cast<T>(v);
-    } else {
-        return parse_name(text, out);
-    }
-    return true;
-}
-
-/// A JSON scalar as parse_text() input, so both inputs share one set of
-/// rules: numbers in exact fixed notation (integer fields see whole
-/// digits), strings only for enum fields; other values yield text no
-/// field type accepts.
-std::string json_text(const obs::json::Value& v, bool enum_field) {
-    if (v.is_string()) return enum_field ? v.as_string() : "";
-    if (v.is_bool()) return v.as_bool() ? "true" : "false";
-    if (!v.is_number()) return "";
-    char buf[400];  // any double in fixed notation: at most 327 chars
-    return {buf, std::to_chars(buf, buf + sizeof buf, v.as_number(), std::chars_format::fixed).ptr};
-}
-
-/// Text form of a field value, as parse_text() accepts it.
-template <class T>
-std::string render(const T& field) {
-    if constexpr (std::is_same_v<T, double>) {
-        return obs::json::number_to_string(field);
-    } else if constexpr (std::is_same_v<T, bool>) {
-        return field ? "true" : "false";
-    } else if constexpr (kIsCount<T>) {
-        return std::to_string(field);
-    } else {
-        return std::string(name_of(field));
-    }
-}
+constexpr bool kIsSpecial = std::is_same_v<T, Scenario::Kind> || obs::fields::Listed<T>;
 
 /// Whether the scenario's kind reads the field at `path`.
 bool kind_reads(Scenario::Kind kind, std::string_view path) {
@@ -378,74 +266,24 @@ std::vector<std::string> Scenario::validate() const {
     return errors;
 }
 
-void write_json(const Scenario& s, obs::json::Writer& w) {
-    std::string_view open;  // path prefix of the open objects, e.g. "engine.trust."
-    const auto close = [&] {
-        w.end_object();
-        open = open.substr(0, open.rfind('.', open.size() - 2) + 1);  // npos + 1 == 0
-    };
-    w.begin_object();
-    for_each_field(s, [&](std::string_view path, const auto& field) {
-        // The list keeps each object's fields together: close objects until
-        // `open` prefixes the path, then open the ones the path adds.
-        while (!path.starts_with(open)) close();
-        for (auto dot = path.find('.', open.size()); dot != path.npos;
-             dot = path.find('.', open.size())) {
-            w.key(path.substr(open.size(), dot - open.size()));
-            w.begin_object();
-            open = path.substr(0, dot + 1);
-        }
-        path.remove_prefix(open.size());
-        using T = Field<decltype(field)>;
-        if constexpr (std::is_same_v<T, inject::CampaignSpec>) {
-            w.key(path);
-            inject::write_json(field, w);
-        } else if constexpr (kIsCount<T>) {
-            w.field(path, static_cast<std::uint64_t>(field));
-        } else if constexpr (std::is_same_v<T, double> || std::is_same_v<T, bool>) {
-            w.field(path, field);
-        } else {
-            w.field(path, name_of(field));
-        }
-    });
-    while (!open.empty()) close();
-    w.end_object();
-}
-
-Scenario scenario_from_json(const obs::json::Value& v) {
-    if (!v.is_object()) throw std::runtime_error("scenario: JSON root must be an object");
-    auto kind = Scenario::Kind::Binary;
-    if (const auto* k = v.find("kind"); k && !parse_text(json_text(*k, true), kind)) {
-        throw std::runtime_error("scenario: kind expects " + expects(kind));
-    }
-    Scenario s = kind == Scenario::Kind::Binary ? Scenario::binary_defaults()
-                                                : Scenario::location_defaults();
-    for_each_field(s, [&](std::string_view path, auto& field) {
-        const obs::json::Value* j = &v;
-        for (std::size_t from = 0, dot = 0; j && dot != path.npos; from = dot + 1) {
-            dot = path.find('.', from);
-            j = j->find(std::string(path.substr(from, dot - from)));
-        }
-        if (!j) return;
-        if constexpr (std::is_same_v<Field<decltype(field)>, inject::CampaignSpec>) {
-            field = inject::campaign_from_json(*j);
-        } else if (!parse_text(json_text(*j, std::is_enum_v<Field<decltype(field)>>), field)) {
-            throw std::runtime_error("scenario: " + std::string(path) + " expects " +
-                                     expects(field));
-        }
-    });
-    return s;
-}
-
 std::string to_json(const Scenario& scenario) {
     std::ostringstream os;
     obs::json::Writer w(os, /*indent=*/2);
-    write_json(scenario, w);
+    obs::fields::write_value(w, scenario);
     return os.str();
 }
 
 Scenario scenario_from_json_text(const std::string& text) {
-    return scenario_from_json(obs::json::parse(text));
+    const obs::json::Value v = obs::json::parse(text);
+    if (!v.is_object()) throw std::runtime_error("scenario: JSON root must be an object");
+    // The kind picks the defaults the document's keys override, so a
+    // first pass learns it (and rejects any bad value on the way).
+    Scenario first;
+    obs::fields::read_members(v, first, "scenario: ");
+    Scenario s = first.kind == Scenario::Kind::Binary ? Scenario::binary_defaults()
+                                                      : Scenario::location_defaults();
+    obs::fields::read_members(v, s, "scenario: ");
+    return s;
 }
 
 std::string_view apply_override(Scenario& s, std::string_view key, std::string_view value) {
@@ -476,20 +314,13 @@ std::vector<std::string> override_tokens(const Scenario& s) {
     std::vector<std::string> out;
     for_each_field(s, [&](std::string_view path, const auto& field) {
         if constexpr (!kIsSpecial<Field<decltype(field)>>) {
-            if (kind_reads(s.kind, path)) out.push_back(std::string(path) + "=" + render(field));
+            if (kind_reads(s.kind, path)) {
+                out.push_back(std::string(path) + "=" + obs::fields::render(field));
+            }
         }
     });
     return out;
 }
-
-template <class T>
-bool parse_value(std::string_view text, T& out) {
-    return parse_text(text, out);
-}
-template bool parse_value(std::string_view, bool&);
-template bool parse_value(std::string_view, double&);
-template bool parse_value(std::string_view, long&);
-template bool parse_value(std::string_view, std::size_t&);
 
 void apply_knob(std::span<const Knob> knobs, std::string_view token) {
     const auto eq = token.find('=');

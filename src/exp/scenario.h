@@ -28,10 +28,6 @@
 
 namespace tibfit::obs {
 class Recorder;
-namespace json {
-class Value;
-class Writer;
-}  // namespace json
 }  // namespace tibfit::obs
 
 namespace tibfit::exp {
@@ -196,16 +192,13 @@ struct RunResult {
 };
 
 /// Serializes everything except the runtime attachments (recorder,
-/// keep_decisions) as one JSON object.
-void write_json(const Scenario& scenario, obs::json::Writer& w);
-
-/// Rebuilds a scenario from the write_json() shape; missing and unknown
-/// keys keep the kind's defaults. Throws std::runtime_error naming the key
-/// on a non-object root or a value the field's type does not hold.
-Scenario scenario_from_json(const obs::json::Value& v);
-
-/// Convenience: full JSON text round-trip.
+/// keep_decisions) as one JSON object, indented by two spaces.
 std::string to_json(const Scenario& scenario);
+
+/// Rebuilds a scenario from the to_json() shape by obs/fields.h's reading
+/// rules: missing and unknown keys keep the kind's defaults. Throws
+/// std::runtime_error on malformed JSON, a non-object root, or a value
+/// the field's type does not hold (naming its key).
 Scenario scenario_from_json_text(const std::string& text);
 
 /// Sets one serialized field, other than `kind` and `campaign`, from text
@@ -218,13 +211,6 @@ std::string_view apply_override(Scenario& scenario, std::string_view key, std::s
 /// One `path=value` token per field of the sections the scenario's kind
 /// reads, in JSON order, each setting its field to its current value.
 std::vector<std::string> override_tokens(const Scenario& scenario);
-
-/// Parses the whole of `text` in `out`'s type by apply_override's rules:
-/// counts are digits only, at most 2^53 and the type's maximum; numbers
-/// are finite; bools are true|false. False leaves `out` as is. Defined for
-/// bool, double, long and std::size_t.
-template <class T>
-bool parse_value(std::string_view text, T& out);
 
 /// One `key=value` knob of an example program: a leaf of a Scenario (set
 /// through apply_override) or a value of the program's own.

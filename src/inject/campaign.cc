@@ -1,8 +1,5 @@
 #include "inject/campaign.h"
 
-#include <stdexcept>
-
-#include "obs/json.h"
 #include "obs/names.h"
 #include "obs/recorder.h"
 
@@ -72,99 +69,6 @@ std::vector<std::string> CampaignSpec::validate() const {
         }
     }
     return errors;
-}
-
-void write_json(const CampaignSpec& spec, obs::json::Writer& w) {
-    w.begin_object();
-    w.key("degradations");
-    w.begin_array();
-    for (const auto& d : spec.degradations) {
-        w.begin_object();
-        w.field("start", d.start);
-        w.field("end", d.end);
-        w.field("extra_drop", d.extra_drop);
-        w.field("duplicate_probability", d.duplicate_probability);
-        w.field("delay_jitter", d.delay_jitter);
-        w.field("reorder_probability", d.reorder_probability);
-        w.field("reorder_hold", d.reorder_hold);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("failovers");
-    w.begin_array();
-    for (const auto& f : spec.failovers) {
-        w.begin_object();
-        w.field("kill_at", f.kill_at);
-        w.field("recover_at", f.recover_at);
-        w.field("warm_handoff", f.warm_handoff);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("compromises");
-    w.begin_array();
-    for (const auto& c : spec.compromises) {
-        w.begin_object();
-        w.field("at", c.at);
-        w.field("target_pct", c.target_pct);
-        w.end_object();
-    }
-    w.end_array();
-    w.key("fault_shifts");
-    w.begin_array();
-    for (const auto& s : spec.fault_shifts) {
-        w.begin_object();
-        w.field("at", s.at);
-        w.field("missed_alarm_rate", s.missed_alarm_rate);
-        w.field("false_alarm_rate", s.false_alarm_rate);
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-}
-
-CampaignSpec campaign_from_json(const obs::json::Value& v) {
-    if (!v.is_object()) throw std::runtime_error("campaign: spec must be a JSON object");
-    CampaignSpec spec;
-    if (const auto* arr = v.find("degradations"); arr && arr->is_array()) {
-        for (const auto& d : arr->as_array()) {
-            net::ChannelFaultWindow w;
-            w.start = d.number_or("start", 0.0);
-            w.end = d.number_or("end", 0.0);
-            w.extra_drop = d.number_or("extra_drop", 0.0);
-            w.duplicate_probability = d.number_or("duplicate_probability", 0.0);
-            w.delay_jitter = d.number_or("delay_jitter", 0.0);
-            w.reorder_probability = d.number_or("reorder_probability", 0.0);
-            w.reorder_hold = d.number_or("reorder_hold", 0.0);
-            spec.degradations.push_back(w);
-        }
-    }
-    if (const auto* arr = v.find("failovers"); arr && arr->is_array()) {
-        for (const auto& f : arr->as_array()) {
-            ChFailover fo;
-            fo.kill_at = f.number_or("kill_at", 0.0);
-            fo.recover_at = f.number_or("recover_at", -1.0);
-            fo.warm_handoff = f.bool_or("warm_handoff", true);
-            spec.failovers.push_back(fo);
-        }
-    }
-    if (const auto* arr = v.find("compromises"); arr && arr->is_array()) {
-        for (const auto& c : arr->as_array()) {
-            CompromiseOnset onset;
-            onset.at = c.number_or("at", 0.0);
-            onset.target_pct = c.number_or("target_pct", 0.0);
-            spec.compromises.push_back(onset);
-        }
-    }
-    if (const auto* arr = v.find("fault_shifts"); arr && arr->is_array()) {
-        for (const auto& s : arr->as_array()) {
-            FaultRateShift shift;
-            shift.at = s.number_or("at", 0.0);
-            shift.missed_alarm_rate = s.number_or("missed_alarm_rate", -1.0);
-            shift.false_alarm_rate = s.number_or("false_alarm_rate", -1.0);
-            spec.fault_shifts.push_back(shift);
-        }
-    }
-    return spec;
 }
 
 void Campaign::arm_channel(net::Channel& channel) const {

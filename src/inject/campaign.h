@@ -15,16 +15,30 @@
 #include <vector>
 
 #include "net/channel.h"
+#include "obs/fields.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace tibfit::obs {
 class Recorder;
-namespace json {
-class Value;
-class Writer;
-}  // namespace json
 }  // namespace tibfit::obs
+
+namespace tibfit::net {
+
+/// A degradation window's serialized fields (it is serialized only as a
+/// campaign element).
+template <obs::fields::Is<ChannelFaultWindow> S, class F>
+void for_each_field(S& w, F&& f) {
+    f("start", w.start);
+    f("end", w.end);
+    f("extra_drop", w.extra_drop);
+    f("duplicate_probability", w.duplicate_probability);
+    f("delay_jitter", w.delay_jitter);
+    f("reorder_probability", w.reorder_probability);
+    f("reorder_hold", w.reorder_hold);
+}
+
+}  // namespace tibfit::net
 
 namespace tibfit::inject {
 
@@ -76,12 +90,32 @@ struct CampaignSpec {
     std::vector<std::string> validate() const;
 };
 
-/// Serializes a spec as one JSON object ({"degradations": [...], ...}).
-void write_json(const CampaignSpec& spec, obs::json::Writer& w);
-
-/// Rebuilds a spec from the write_json() shape. Unknown keys are ignored;
-/// missing keys default. Throws std::runtime_error on a non-object.
-CampaignSpec campaign_from_json(const obs::json::Value& v);
+// The serialized fields, in JSON write order (obs/fields.h derives the
+// codec): a spec is one object of four arrays ({"degradations": [...], ...}).
+template <obs::fields::Is<CampaignSpec> S, class F>
+void for_each_field(S& spec, F&& f) {
+    f("degradations", spec.degradations);
+    f("failovers", spec.failovers);
+    f("compromises", spec.compromises);
+    f("fault_shifts", spec.fault_shifts);
+}
+template <obs::fields::Is<ChFailover> S, class F>
+void for_each_field(S& fo, F&& f) {
+    f("kill_at", fo.kill_at);
+    f("recover_at", fo.recover_at);
+    f("warm_handoff", fo.warm_handoff);
+}
+template <obs::fields::Is<CompromiseOnset> S, class F>
+void for_each_field(S& onset, F&& f) {
+    f("at", onset.at);
+    f("target_pct", onset.target_pct);
+}
+template <obs::fields::Is<FaultRateShift> S, class F>
+void for_each_field(S& shift, F&& f) {
+    f("at", shift.at);
+    f("missed_alarm_rate", shift.missed_alarm_rate);
+    f("false_alarm_rate", shift.false_alarm_rate);
+}
 
 /// One spec bound to one run. The runner constructs it with the run's
 /// injection stream (conventionally root.stream("inject")), registers the

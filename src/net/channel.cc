@@ -246,6 +246,7 @@ bool Channel::unicast(Packet&& packet) {
     }
     packet.sent_at = sim_->now();
     const std::uint32_t slot = store(std::move(packet));
+    snoop(slot, src_it->second);
     const bool sent = send_stored(slot, src_it->second, dst_it->second, dist);
     release(slot);
     return sent;
@@ -253,7 +254,6 @@ bool Channel::unicast(Packet&& packet) {
 
 bool Channel::send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst, double dist) {
     const Packet& packet = slots_[slot].packet;
-    snoop(slot, src);
     if (rng_.chance(sender_drop_probability(src))) {
         ++dropped_;
         if (c_dropped_) c_dropped_->inc();
@@ -303,33 +303,8 @@ std::size_t Channel::broadcast(Packet&& packet) {
             if (c_out_of_range_) c_out_of_range_->inc();
             continue;
         }
-        if (rng_.chance(sender_drop_probability(src))) {
-            ++dropped_;
-            if (c_dropped_) c_dropped_->inc();
-            note_drop(stored, obs::DropReason::Natural);
-            continue;
-        }
-        // Same injection stack as unicast, with independent coins per
-        // receiver (broadcast receptions fail independently).
-        if (const ChannelFaultWindow* w = active_fault_window()) {
-            if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
-                ++injected_drops_;
-                if (c_injected_drops_) c_injected_drops_->inc();
-                note_drop(stored, obs::DropReason::Injected);
-                continue;
-            }
-            const double extra = injected_extra_delay(*w);
-            if (w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability)) {
-                ++injected_duplicates_;
-                if (c_injected_duplicates_) c_injected_duplicates_->inc();
-                deliver(ep, slot, dist, injected_extra_delay(*w));
-            }
-            deliver(ep, slot, dist, extra);
-            ++n;
-            continue;
-        }
-        deliver(ep, slot, dist);
-        ++n;
+        // Receptions fail independently: each draws its own coins.
+        if (send_stored(slot, src, ep, dist)) ++n;
     }
     release(slot);
     return n;

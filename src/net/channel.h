@@ -170,8 +170,9 @@ class Channel {
     void release(std::uint32_t slot);
     void deliver(Endpoint& to, std::uint32_t slot, double dist, double extra_delay = 0.0);
     void fire(const Delivery& d);
-    /// unicast() past its range checks: snoop copies, loss and injection
-    /// coins, then the delivery of the packet stored in `slot`.
+    /// One reception past the range check, for unicast() and each
+    /// broadcast() receiver: the loss and injection coins, then the
+    /// delivery of the packet stored in `slot`. False if a coin dropped it.
     bool send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst, double dist);
     void snoop(std::uint32_t slot, const Endpoint& src);
     void note_drop(const Packet& packet, obs::DropReason reason);

@@ -221,8 +221,14 @@ class Parser {
         skip_ws();
         const char c = peek();
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                // Bounded, so hostile input cannot exhaust the stack.
+                if (++depth_ > kMaxDepth) fail("nesting deeper than 256");
+                Value v = c == '{' ? parse_object() : parse_array();
+                --depth_;
+                return v;
+            }
             case '"': return Value(parse_string());
             case 't':
                 if (consume_literal("true")) return Value(true);
@@ -368,8 +374,11 @@ class Parser {
         return Value(out);
     }
 
+    static constexpr int kMaxDepth = 256;
+
     std::string_view text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;  ///< open arrays and objects
 };
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Minimal zero-dependency JSON support for the observability layer: a
 // streaming writer (correct escaping, comma placement, round-trippable
-// doubles) and a small recursive-descent parser used by the trace reader
-// and the test suite. Deliberately not a general-purpose JSON library —
-// just enough for tibfit's own artifacts.
+// doubles) and a small recursive-descent parser used by the field-list
+// codec (obs/fields.h) and the test suite. Deliberately not a
+// general-purpose JSON library — just enough for tibfit's own artifacts.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,9 @@ class Value {
     /// Object member lookup; nullptr if absent or not an object.
     const Value* find(const std::string& key) const;
 
-    /// Convenience: member's number/string/bool with a fallback.
+    /// Convenience: member's number/string/bool with a fallback, for
+    /// reading the program's own output (tests). Input the program acts
+    /// on reads through obs/fields.h, which rejects what these ignore.
     double number_or(const std::string& key, double dflt) const;
     std::string string_or(const std::string& key, const std::string& dflt) const;
     bool bool_or(const std::string& key, bool dflt) const;
@@ -60,7 +62,8 @@ class Value {
 };
 
 /// Parses one complete JSON document. Throws std::runtime_error with a
-/// byte offset on malformed input or trailing garbage.
+/// byte offset on malformed input, trailing garbage, or arrays and objects
+/// nested deeper than 256.
 Value parse(std::string_view text);
 
 /// JSON string escaping (quotes not included).

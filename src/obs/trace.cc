@@ -1,164 +1,109 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <iterator>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
-#include "obs/json.h"
+#include "obs/fields.h"
 
 namespace tibfit::obs {
+
+// ---- The field lists (obs/fields.h derives the codec) ----
+
+template <fields::Is<EventInjected> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("event_id", r.event_id);
+    f("x", r.x);
+    f("y", r.y);
+    f("n_neighbours", r.n_neighbours);
+}
+template <fields::Is<ReportReceived> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("reporter", r.reporter);
+    f("ch", r.ch);
+    f("positive", r.positive);
+    f("has_location", r.has_location);
+}
+template <fields::Is<ReportDropped> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("src", r.src);
+    f("dst", r.dst);
+    f("reason", r.reason);
+}
+template <fields::Is<WindowOpened> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("ch", r.ch);
+    f("first_reporter", r.first_reporter);
+}
+template <fields::Is<DecisionMade> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("ch", r.ch);
+    f("decision_seq", r.decision_seq);
+    f("event_declared", r.event_declared);
+    f("has_location", r.has_location);
+    f("x", r.x);
+    f("y", r.y);
+    f("weight_reporters", r.weight_reporters);
+    f("weight_silent", r.weight_silent);
+    f("n_reporters", r.n_reporters);
+    f("latency", r.latency);
+}
+template <fields::Is<TrustUpdated> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("node", r.node);
+    f("penalty", r.penalty);
+    f("v", r.v);
+    f("ti", r.ti);
+}
+template <fields::Is<ChFailed> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("old_ch", r.old_ch);
+    f("new_ch", r.new_ch);
+    f("warm", r.warm);
+    f("checkpointed_nodes", r.checkpointed_nodes);
+}
+/// The members every record line carries besides `type` and the payload.
+template <fields::Is<TraceRecord> S, class F>
+void for_each_field(S& r, F&& f) {
+    f("t", r.time);
+    f("seq", r.seq);
+}
+
+constexpr std::pair<DropReason, std::string_view> kDropReasons[] = {
+    {DropReason::Natural, "natural"},
+    {DropReason::OutOfRange, "out_of_range"},
+    {DropReason::Collision, "collision"},
+    {DropReason::Injected, "injected"}};
+auto names(DropReason) { return std::span(kDropReasons); }
 
 namespace {
 
 constexpr const char* kHeaderType = "trace_header";
 
-struct TypeNameVisitor {
-    const char* operator()(const EventInjected&) const { return "event_injected"; }
-    const char* operator()(const ReportReceived&) const { return "report_received"; }
-    const char* operator()(const ReportDropped&) const { return "report_dropped"; }
-    const char* operator()(const WindowOpened&) const { return "window_opened"; }
-    const char* operator()(const DecisionMade&) const { return "decision_made"; }
-    const char* operator()(const TrustUpdated&) const { return "trust_updated"; }
-    const char* operator()(const ChFailed&) const { return "ch_failed"; }
-};
+/// The wire name of each TracePayload alternative, in variant order.
+constexpr std::string_view kTypeNames[] = {"event_injected", "report_received", "report_dropped",
+                                           "window_opened",  "decision_made",   "trust_updated",
+                                           "ch_failed"};
+static_assert(std::size(kTypeNames) == std::variant_size_v<TracePayload>);
 
-struct FieldWriter {
-    json::Writer& w;
-
-    void operator()(const EventInjected& r) const {
-        w.field("event_id", r.event_id);
-        w.field("x", r.x);
-        w.field("y", r.y);
-        w.field("n_neighbours", static_cast<std::uint64_t>(r.n_neighbours));
-    }
-    void operator()(const ReportReceived& r) const {
-        w.field("reporter", static_cast<std::uint64_t>(r.reporter));
-        w.field("ch", static_cast<std::uint64_t>(r.ch));
-        w.field("positive", r.positive);
-        w.field("has_location", r.has_location);
-    }
-    void operator()(const ReportDropped& r) const {
-        w.field("src", static_cast<std::uint64_t>(r.src));
-        w.field("dst", static_cast<std::uint64_t>(r.dst));
-        w.field("reason", drop_reason_name(r.reason));
-    }
-    void operator()(const WindowOpened& r) const {
-        w.field("ch", static_cast<std::uint64_t>(r.ch));
-        w.field("first_reporter", static_cast<std::uint64_t>(r.first_reporter));
-    }
-    void operator()(const DecisionMade& r) const {
-        w.field("ch", static_cast<std::uint64_t>(r.ch));
-        w.field("decision_seq", r.decision_seq);
-        w.field("event_declared", r.event_declared);
-        w.field("has_location", r.has_location);
-        w.field("x", r.x);
-        w.field("y", r.y);
-        w.field("weight_reporters", r.weight_reporters);
-        w.field("weight_silent", r.weight_silent);
-        w.field("n_reporters", static_cast<std::uint64_t>(r.n_reporters));
-        w.field("latency", r.latency);
-    }
-    void operator()(const TrustUpdated& r) const {
-        w.field("node", static_cast<std::uint64_t>(r.node));
-        w.field("penalty", r.penalty);
-        w.field("v", r.v);
-        w.field("ti", r.ti);
-    }
-    void operator()(const ChFailed& r) const {
-        w.field("old_ch", static_cast<std::uint64_t>(r.old_ch));
-        w.field("new_ch", static_cast<std::uint64_t>(r.new_ch));
-        w.field("warm", r.warm);
-        w.field("checkpointed_nodes", static_cast<std::uint64_t>(r.checkpointed_nodes));
-    }
-};
-
-DropReason parse_drop_reason(const std::string& s) {
-    if (s == "natural") return DropReason::Natural;
-    if (s == "out_of_range") return DropReason::OutOfRange;
-    if (s == "collision") return DropReason::Collision;
-    if (s == "injected") return DropReason::Injected;
-    throw std::runtime_error("trace: unknown drop reason '" + s + "'");
-}
-
-TracePayload parse_payload(const std::string& type, const json::Value& v) {
-    if (type == "event_injected") {
-        EventInjected r;
-        r.event_id = static_cast<std::uint64_t>(v.number_or("event_id", 0));
-        r.x = v.number_or("x", 0.0);
-        r.y = v.number_or("y", 0.0);
-        r.n_neighbours = static_cast<std::uint32_t>(v.number_or("n_neighbours", 0));
-        return r;
-    }
-    if (type == "report_received") {
-        ReportReceived r;
-        r.reporter = static_cast<std::uint32_t>(v.number_or("reporter", 0));
-        r.ch = static_cast<std::uint32_t>(v.number_or("ch", 0));
-        r.positive = v.bool_or("positive", false);
-        r.has_location = v.bool_or("has_location", false);
-        return r;
-    }
-    if (type == "report_dropped") {
-        ReportDropped r;
-        r.src = static_cast<std::uint32_t>(v.number_or("src", 0));
-        r.dst = static_cast<std::uint32_t>(v.number_or("dst", 0));
-        r.reason = parse_drop_reason(v.string_or("reason", "natural"));
-        return r;
-    }
-    if (type == "window_opened") {
-        WindowOpened r;
-        r.ch = static_cast<std::uint32_t>(v.number_or("ch", 0));
-        r.first_reporter = static_cast<std::uint32_t>(v.number_or("first_reporter", 0));
-        return r;
-    }
-    if (type == "decision_made") {
-        DecisionMade r;
-        r.ch = static_cast<std::uint32_t>(v.number_or("ch", 0));
-        r.decision_seq = static_cast<std::uint64_t>(v.number_or("decision_seq", 0));
-        r.event_declared = v.bool_or("event_declared", false);
-        r.has_location = v.bool_or("has_location", false);
-        r.x = v.number_or("x", 0.0);
-        r.y = v.number_or("y", 0.0);
-        r.weight_reporters = v.number_or("weight_reporters", 0.0);
-        r.weight_silent = v.number_or("weight_silent", 0.0);
-        r.n_reporters = static_cast<std::uint32_t>(v.number_or("n_reporters", 0));
-        r.latency = v.number_or("latency", 0.0);
-        return r;
-    }
-    if (type == "trust_updated") {
-        TrustUpdated r;
-        r.node = static_cast<std::uint32_t>(v.number_or("node", 0));
-        r.penalty = v.bool_or("penalty", false);
-        r.v = v.number_or("v", 0.0);
-        r.ti = v.number_or("ti", 0.0);
-        return r;
-    }
-    if (type == "ch_failed") {
-        ChFailed r;
-        r.old_ch = static_cast<std::uint32_t>(v.number_or("old_ch", 0));
-        r.new_ch = static_cast<std::uint32_t>(v.number_or("new_ch", 0));
-        r.warm = v.bool_or("warm", false);
-        r.checkpointed_nodes =
-            static_cast<std::uint32_t>(v.number_or("checkpointed_nodes", 0));
-        return r;
-    }
-    throw std::runtime_error("trace: unknown record type '" + type + "'");
+/// A default payload of the alternative at `index`.
+TracePayload empty_payload(std::size_t index) {
+    TracePayload out;
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+        ((I == index && (out.emplace<I>(), true)) || ...);
+    }(std::make_index_sequence<std::variant_size_v<TracePayload>>{});
+    return out;
 }
 
 }  // namespace
 
 const char* trace_type_name(const TracePayload& payload) {
-    return std::visit(TypeNameVisitor{}, payload);
-}
-
-const char* drop_reason_name(DropReason reason) {
-    switch (reason) {
-        case DropReason::Natural: return "natural";
-        case DropReason::OutOfRange: return "out_of_range";
-        case DropReason::Collision: return "collision";
-        case DropReason::Injected: return "injected";
-    }
-    return "?";
+    return kTypeNames[payload.index()].data();
 }
 
 void TraceLog::write_jsonl(std::ostream& os) const {
@@ -184,9 +129,8 @@ void TraceLog::write_jsonl(std::ostream& os) const {
         json::Writer w(os);
         w.begin_object();
         w.field("type", trace_type_name(r->data));
-        w.field("t", r->time);
-        w.field("seq", r->seq);
-        std::visit(FieldWriter{w}, r->data);
+        fields::write_members(w, *r);
+        std::visit([&](const auto& payload) { fields::write_members(w, payload); }, r->data);
         w.end_object();
         os << '\n';
     }
@@ -200,15 +144,18 @@ std::vector<TraceRecord> read_trace_jsonl(std::istream& is) {
     while (std::getline(is, line)) {
         ++lineno;
         if (line.empty()) continue;
+        const std::string where = "trace line " + std::to_string(lineno) + ": ";
         json::Value v;
         try {
             v = json::parse(line);
         } catch (const std::exception& e) {
-            throw std::runtime_error("trace line " + std::to_string(lineno) + ": " + e.what());
+            throw std::runtime_error(where + e.what());
         }
-        const std::string type = v.string_or("type", "");
-        if (type == kHeaderType) {
-            const int schema = static_cast<int>(v.number_or("schema", -1));
+        const json::Value* type = v.find("type");
+        if (!type || !type->is_string()) throw std::runtime_error(where + "type expects a string");
+        if (type->as_string() == kHeaderType) {
+            int schema = -1;
+            fields::read_at(v, "schema", schema, where);
             if (schema != kTraceSchemaVersion) {
                 throw std::runtime_error("trace: schema version " + std::to_string(schema) +
                                          " unsupported (expected " +
@@ -218,10 +165,14 @@ std::vector<TraceRecord> read_trace_jsonl(std::istream& is) {
             continue;
         }
         if (!saw_header) throw std::runtime_error("trace: missing header line");
+        const auto* name = std::find(std::begin(kTypeNames), std::end(kTypeNames), type->as_string());
+        if (name == std::end(kTypeNames)) {
+            throw std::runtime_error(where + "unknown record type '" + type->as_string() + "'");
+        }
         TraceRecord r;
-        r.time = v.number_or("t", 0.0);
-        r.seq = static_cast<std::uint64_t>(v.number_or("seq", 0));
-        r.data = parse_payload(type, v);
+        fields::read_members(v, r, where);
+        r.data = empty_payload(static_cast<std::size_t>(name - std::begin(kTypeNames)));
+        std::visit([&](auto& payload) { fields::read_members(v, payload, where); }, r.data);
         out.push_back(std::move(r));
     }
     return out;

@@ -100,7 +100,6 @@ struct TraceRecord {
 
 /// Stable wire name of a payload kind ("decision_made", ...).
 const char* trace_type_name(const TracePayload& payload);
-const char* drop_reason_name(DropReason reason);
 
 /// Append-only trace collector. Disabled by default: a Recorder can carry
 /// metrics-only instrumentation without accumulating records; append() on
@@ -145,8 +144,10 @@ class TraceLog {
     std::uint64_t next_seq_ = 0;
 };
 
-/// Reads a JSONL trace stream back into records. Throws std::runtime_error
-/// on malformed lines, unknown record types, or a schema-version mismatch.
+/// Reads a JSONL trace stream back into records by obs/fields.h's reading
+/// rules. Throws std::runtime_error naming the line on malformed lines,
+/// unknown record types, a field value its type does not hold, or a
+/// schema-version mismatch.
 std::vector<TraceRecord> read_trace_jsonl(std::istream& is);
 
 }  // namespace tibfit::obs

@@ -2,16 +2,6 @@
 
 namespace tibfit::sensor {
 
-const char* to_string(NodeClass c) {
-    switch (c) {
-        case NodeClass::Correct: return "correct";
-        case NodeClass::Level0: return "level0";
-        case NodeClass::Level1: return "level1";
-        case NodeClass::Level2: return "level2";
-    }
-    return "?";
-}
-
 SenseAction CorrectBehavior::on_event(const SenseContext& ctx, util::Rng& rng) {
     if (rng.chance(params_.natural_error_rate)) return {};  // natural missed alarm
     SenseAction a;

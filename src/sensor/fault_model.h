@@ -17,6 +17,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string_view>
+#include <utility>
 
 #include "util/rng.h"
 #include "util/vec2.h"
@@ -26,7 +29,17 @@ namespace tibfit::sensor {
 /// Paper's taxonomy of node behaviour.
 enum class NodeClass { Correct, Level0, Level1, Level2 };
 
-const char* to_string(NodeClass c);
+/// The classes' names, in enum order (scenario JSON, key=value, output).
+inline constexpr std::pair<NodeClass, std::string_view> kNodeClassNames[] = {
+    {NodeClass::Correct, "correct"},
+    {NodeClass::Level0, "level0"},
+    {NodeClass::Level1, "level1"},
+    {NodeClass::Level2, "level2"}};
+inline auto names(NodeClass) { return std::span(kNodeClassNames); }
+
+inline const char* to_string(NodeClass c) {
+    return kNodeClassNames[static_cast<int>(c)].second.data();
+}
 
 /// All behaviour tunables (Table 1 / Table 2 parameters).
 struct FaultParams {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "exp/scenario.h"
 #include "net/channel.h"
 #include "net/transport.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace tibfit {
@@ -290,6 +292,59 @@ TEST_P(ScenarioInputFuzz, MutatedJsonLoadsOrThrowsRuntimeError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioInputFuzz, ::testing::Range<std::uint64_t>(1, 9));
+
+// ---------- JSONL traces (hostile input) ----------
+
+class TraceInputFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// A mutated trace holding every record kind either loads or throws
+// std::runtime_error (parse errors and rejected field values alike).
+TEST_P(TraceInputFuzz, MutatedJsonlLoadsOrThrowsRuntimeError) {
+    util::Rng rng(GetParam() * 7919);
+    obs::TraceLog log;
+    log.set_enabled(true);
+    log.append(1.0, obs::EventInjected{7, 12.5, 33.25, 9});
+    log.append(1.5, obs::ReportReceived{3, 100, true, false});
+    log.append(1.5, obs::ReportDropped{4, 100, obs::DropReason::Injected});
+    log.append(2.0, obs::WindowOpened{100, 3});
+    log.append(3.0, obs::DecisionMade{100, 5, true, true, 12.0, 34.0, 6.5, 1.25, 4, 0.5});
+    log.append(3.0, obs::TrustUpdated{4, true, 0.9, 0.914});
+    log.append(4.0, obs::ChFailed{100, 101, false, 9});
+    std::ostringstream os;
+    log.write_jsonl(os);
+    const std::string base = os.str();
+    const char* const json_values[] = {"-3", "2.7", "1e308", "-1e308", "9007199254740994",
+                                       "4294967296", "\"abc\"", "\"collision\"", "null",
+                                       "true", "[]", "{}", "1e400", "0"};
+    std::size_t loaded = 0;
+    for (int i = 0; i < 300; ++i) {
+        std::string text = base;
+        for (std::uint64_t m = 1 + rng.uniform_index(3); m > 0; --m) {
+            const std::size_t at = rng.uniform_index(text.size());
+            switch (rng.uniform_index(4)) {
+                case 0: {  // replace one member's value
+                    const std::size_t colon = text.find(':', at);
+                    if (colon == std::string::npos) break;
+                    const std::size_t end = text.find_first_of(",}", colon);
+                    text.replace(colon + 1, end - colon - 1, pick(rng, json_values));
+                    break;
+                }
+                case 1: text[at] = static_cast<char>(rng.uniform_index(256)); break;
+                case 2: text.erase(at, rng.uniform_index(16)); break;
+                default: text.insert(at, pick(rng, kHostileValues)); break;
+            }
+        }
+        std::istringstream is(text);
+        try {
+            obs::read_trace_jsonl(is);
+            ++loaded;
+        } catch (const std::runtime_error&) {
+        }
+    }
+    EXPECT_GT(loaded, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceInputFuzz, ::testing::Range<std::uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace tibfit

@@ -13,7 +13,7 @@
 #include "exp/binary_experiment.h"
 #include "exp/scenario.h"
 #include "exp/sweep.h"
-#include "obs/json.h"
+#include "obs/fields.h"
 #include "par/jobs.h"
 
 namespace tibfit::exp {
@@ -163,9 +163,10 @@ TEST(Inject, CampaignSpecJsonRoundTrip) {
     std::ostringstream os;
     {
         obs::json::Writer writer(os, 2);
-        inject::write_json(spec, writer);
+        obs::fields::write_value(writer, spec);
     }
-    const inject::CampaignSpec back = inject::campaign_from_json(obs::json::parse(os.str()));
+    inject::CampaignSpec back;
+    obs::fields::read_value(obs::json::parse(os.str()), back, "", "campaign");
 
     ASSERT_EQ(back.degradations.size(), 1u);
     EXPECT_EQ(back.degradations[0].start, w.start);

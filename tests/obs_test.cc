@@ -125,6 +125,19 @@ TEST(JsonWriter, EscapesAndNests) {
     EXPECT_TRUE(doc.find("arr")->as_array()[2].is_null());
 }
 
+TEST(JsonParser, RejectsNestingDeeperThan256) {
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_TRUE(obs::json::parse(nested(256)).is_array());
+    EXPECT_THROW(obs::json::parse(nested(257)), std::runtime_error);
+    // Deep enough to overflow the stack of a parser without the bound.
+    EXPECT_THROW(obs::json::parse(std::string(1000000, '[')), std::runtime_error);
+    std::string objects;
+    for (int i = 0; i < 200000; ++i) objects += R"({"a":)";
+    EXPECT_THROW(obs::json::parse(objects), std::runtime_error);
+}
+
 TEST(Trace, DisabledLogAppendsNothing) {
     obs::TraceLog log;
     log.append(1.0, obs::EventInjected{});
@@ -143,12 +156,14 @@ TEST(Trace, JsonlRoundTripPreservesEveryRecordKind) {
     log.append(2.0, obs::WindowOpened{100, 3});
     log.append(3.0, obs::DecisionMade{100, 5, true, true, 12.0, 34.0, 6.5, 1.25, 4, 0.5});
     log.append(3.0, obs::TrustUpdated{4, true, 0.9, 0.914});
+    log.append(4.0, obs::ChFailed{100, 101, true, 9});
+    log.append(4.5, obs::ReportDropped{5, 101, obs::DropReason::Injected});
 
     std::ostringstream os;
     log.write_jsonl(os);
     std::istringstream is(os.str());
     const auto records = obs::read_trace_jsonl(is);
-    ASSERT_EQ(records.size(), 6u);
+    ASSERT_EQ(records.size(), 8u);
 
     const auto& ev = std::get<obs::EventInjected>(records[0].data);
     EXPECT_EQ(ev.event_id, 7u);
@@ -167,11 +182,83 @@ TEST(Trace, JsonlRoundTripPreservesEveryRecordKind) {
     const auto& tu = std::get<obs::TrustUpdated>(records[5].data);
     EXPECT_TRUE(tu.penalty);
     EXPECT_DOUBLE_EQ(tu.ti, 0.914);
+
+    const auto& failed = std::get<obs::ChFailed>(records[6].data);
+    EXPECT_EQ(failed.old_ch, 100u);
+    EXPECT_EQ(failed.new_ch, 101u);
+    EXPECT_TRUE(failed.warm);
+    EXPECT_EQ(failed.checkpointed_nodes, 9u);
+    EXPECT_EQ(records[6].time, 4.0);
+    EXPECT_EQ(records[6].seq, 6u);
+
+    EXPECT_EQ(std::get<obs::ReportDropped>(records[7].data).reason, obs::DropReason::Injected);
+
+    // Writing the records read back reproduces the stream byte for byte.
+    obs::TraceLog again;
+    again.set_enabled(true);
+    for (const auto& r : records) again.append(r.time, r.data);
+    std::ostringstream os2;
+    again.write_jsonl(os2);
+    EXPECT_EQ(os2.str(), os.str());
 }
 
 TEST(Trace, ReaderRejectsSchemaMismatch) {
     std::istringstream is(R"({"type":"trace_header","schema":999,"source":"tibfit::obs"})");
     EXPECT_THROW(obs::read_trace_jsonl(is), std::runtime_error);
+}
+
+// Every field reads by the scenario codec's rules: a wrong-typed,
+// fractional, negative or out-of-range value throws naming field and line.
+TEST(Trace, ReaderRejectsBadFields) {
+    const std::string header = R"({"type":"trace_header","schema":1,"source":"tibfit::obs"})";
+    const struct {
+        const char* record;
+        const char* needle;
+    } cases[] = {
+        {R"({"type":"event_injected","t":"late","seq":0})", "line 2: t expects a finite number"},
+        {R"({"type":"report_received","t":0,"seq":0,"positive":"yes"})",
+         "line 2: positive expects true or false"},
+        {R"({"type":"window_opened","t":0,"seq":-5})", "line 2: seq expects an integer"},
+        {R"({"type":"report_received","t":0,"seq":0,"ch":-1})", "line 2: ch expects an integer"},
+        {R"({"type":"decision_made","t":0,"seq":0,"n_reporters":2.5})",
+         "line 2: n_reporters expects an integer"},
+        {R"({"type":"report_received","t":0,"seq":0,"reporter":4294967296})",
+         "line 2: reporter expects an integer in [0, 4294967295]"},
+        {R"({"type":"report_received","t":0,"seq":0,"reporter":1e30})",
+         "line 2: reporter expects an integer"},
+        {R"({"type":"event_injected","t":0,"seq":0,"event_id":9007199254740994})",
+         "line 2: event_id expects an integer in [0, 9007199254740992]"},
+        {R"({"type":"report_dropped","t":0,"seq":0,"reason":"gremlins"})",
+         "line 2: reason expects one of natural|out_of_range|collision|injected"},
+        {R"({"type":"ch_failed","t":0,"seq":0,"warm":1})", "line 2: warm expects true or false"},
+        {R"({"type":7,"t":0,"seq":0})", "line 2: type expects a string"},
+    };
+    for (const auto& c : cases) {
+        std::istringstream is(header + "\n" + c.record + "\n");
+        try {
+            obs::read_trace_jsonl(is);
+            ADD_FAILURE() << "accepted " << c.record;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+                << c.record << ": " << e.what();
+        }
+    }
+    std::istringstream huge_schema(R"({"type":"trace_header","schema":1e300})");
+    try {
+        obs::read_trace_jsonl(huge_schema);
+        ADD_FAILURE() << "accepted schema 1e300";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("line 1: schema"), std::string::npos) << e.what();
+    }
+    // Missing fields keep their defaults; unknown ones are ignored.
+    std::istringstream sparse(header + "\n" +
+                              R"({"type":"ch_failed","seq":3,"note":"x","old_ch":4})");
+    const auto records = obs::read_trace_jsonl(sparse);
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].time, 0.0);
+    EXPECT_EQ(records[0].seq, 3u);
+    EXPECT_EQ(std::get<obs::ChFailed>(records[0].data).old_ch, 4u);
+    EXPECT_FALSE(std::get<obs::ChFailed>(records[0].data).warm);
 }
 
 TEST(Trace, ReaderRejectsUnknownRecordType) {

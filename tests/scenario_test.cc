@@ -540,6 +540,16 @@ TEST(Scenario, FromJsonRejectsBadIntegersAndTypes) {
         {R"({"engine": {"policy": "tibfit"}})", "engine.policy"},
         {R"({"check": {"mode": "loud"}})", "check.mode"},
         {R"({"kind": 3})", "kind"},
+        // The campaign block reads by the same rules, element by element.
+        {R"({"campaign": {"failovers": [{"kill_at": "soon"}]}})", "campaign.failovers[0].kill_at"},
+        {R"({"campaign": {"failovers": [{}, {"warm_handoff": "yes"}]}})",
+         "campaign.failovers[1].warm_handoff"},
+        {R"({"campaign": {"compromises": [{"at": 1, "target_pct": null}]}})",
+         "campaign.compromises[0].target_pct"},
+        {R"({"campaign": {"degradations": {"start": 3}}})", "campaign.degradations expects an array"},
+        {R"({"campaign": {"fault_shifts": null}})", "campaign.fault_shifts expects an array"},
+        {R"({"campaign": {"failovers": [1, "x"]}})", "campaign.failovers[0] expects an object"},
+        {R"({"campaign": []})", "campaign expects an object"},
     };
     for (const auto& c : cases) {
         try {
