@@ -5,12 +5,7 @@
 // statistical collusion detector enabled: cliques of near-identical
 // reports convict the colluding pairs, drain their trust and isolate them.
 // The detector closes most of the gap collusion opened.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -23,41 +18,15 @@ int main(int argc, char** argv) {
     base.location.events = 200;
     base.seed = 20050628;
 
-    const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
-    const std::size_t runs = io.trial_runs(5);
-
-    std::vector<exp::Scenario> cells;
-    for (double p : pct) {
-        exp::Scenario c = base;
-        c.location.pct_faulty = p;
-        cells.push_back(c);
-        c.engine.collusion_defense = true;
-        cells.push_back(c);
-        // The arms race: adaptive colluders jitter their echoes past the
-        // detector's epsilon, restoring (most of) the attack.
-        c.faults.collusion_jitter = 0.5;
-        cells.push_back(c);
-        exp::Scenario baseline = base;
-        baseline.location.pct_faulty = p;
-        baseline.engine.policy = core::DecisionPolicy::MajorityVote;
-        cells.push_back(baseline);
-    }
-    io.require_valid(cells);
-    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
-
-    util::Table t("Extension: level-2 collusion with and without the collusion detector");
-    t.header({"% faulty", "TIBFIT (paper)", "TIBFIT + detector", "detector vs jittered echoes",
-              "Baseline"});
-    auto cell = acc.begin();
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (int c = 0; c < 4; ++c) row.push_back(*cell++);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("pct_faulty", 0.3).param("collusion_defense", true);
-    exp::Scenario rep = base;
-    rep.location.pct_faulty = 0.3;
-    rep.engine.collusion_defense = true;
-    return io.finish(rep);
+    // The arms race in the third column: adaptive colluders jitter their
+    // echoes past the detector's epsilon, restoring (most of) the attack.
+    io.faulty_table("Extension: level-2 collusion with and without the collusion detector", base,
+                    {0.10, 0.20, 0.30, 0.40, 0.50, 0.58},
+                    {{"TIBFIT (paper)", {}},
+                     {"TIBFIT + detector", {"collusion_defense=true"}},
+                     {"detector vs jittered echoes",
+                      {"collusion_defense=true", "collusion_jitter=0.5"}},
+                     {"Baseline", {"policy=majority_vote"}}},
+                    io.trial_runs(5));
+    return io.finish(base, {"pct_faulty=0.3", "collusion_defense=true"});
 }

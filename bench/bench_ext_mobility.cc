@@ -5,12 +5,7 @@
 // Nodes follow a random-waypoint walk; the CHs refresh their position
 // estimates every mobility tick. Faster motion means staler estimates
 // inside a T_out window, so accuracy degrades gracefully with speed.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -21,35 +16,11 @@ int main(int argc, char** argv) {
     base.location.events = 200;
     base.seed = 20050628;
 
-    const std::vector<double> pct = {0.10, 0.30, 0.50};
-    const std::size_t runs = io.trial_runs(5);
-
-    std::vector<exp::Scenario> cells;
-    for (double p : pct) {
-        exp::Scenario c = base;
-        c.location.pct_faulty = p;
-        cells.push_back(c);
-        c.location.mobile = true;
-        cells.push_back(c);
-        c.mobility.speed_min = 2.0;
-        c.mobility.speed_max = 4.0;
-        cells.push_back(c);
-    }
-    io.require_valid(cells);
-    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
-
-    util::Table t("Extension: stationary vs mobile network (level 0, TIBFIT)");
-    t.header({"% faulty", "stationary", "mobile 0.5-1.5 u/s", "mobile 2-4 u/s"});
-    auto cell = acc.begin();
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (int c = 0; c < 3; ++c) row.push_back(*cell++);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("pct_faulty", 0.3).param("mobile", true);
-    exp::Scenario rep = base;
-    rep.location.pct_faulty = 0.3;
-    rep.location.mobile = true;
-    return io.finish(rep);
+    io.faulty_table("Extension: stationary vs mobile network (level 0, TIBFIT)", base,
+                    {0.10, 0.30, 0.50},
+                    {{"stationary", {}},
+                     {"mobile 0.5-1.5 u/s", {"mobile=true"}},
+                     {"mobile 2-4 u/s", {"mobile=true", "speed_min=2", "speed_max=4"}}},
+                    io.trial_runs(5));
+    return io.finish(base, {"pct_faulty=0.3", "mobile=true"});
 }

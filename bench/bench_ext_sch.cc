@@ -7,12 +7,7 @@
 // overhearing the CH's traffic and a base station voting 2-vs-1, every
 // corrupt announcement is masked and accuracy returns to the honest level
 // — the paper's "only a single CH failure can be tolerated" in action.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/binary_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -26,36 +21,11 @@ int main(int argc, char** argv) {
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;
 
-    const std::vector<double> pct = {0.40, 0.60, 0.80};
-    const std::size_t runs = io.trial_runs(10);
-
-    std::vector<exp::Scenario> cells;
-    for (double p : pct) {
-        exp::Scenario c = base;
-        c.binary.pct_faulty = p;
-        cells.push_back(c);
-        c.binary.corrupt_ch = true;
-        cells.push_back(c);
-        c.binary.use_shadows = true;
-        cells.push_back(c);
-    }
-    io.require_valid(cells);
-    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
-
-    util::Table t("Extension: corrupt cluster head masked by shadow CHs + base station vote");
-    t.header({"% faulty nodes", "honest CH", "corrupt CH, no shadows",
-              "corrupt CH + shadows"});
-    auto cell = acc.begin();
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (int c = 0; c < 3; ++c) row.push_back(*cell++);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("pct_faulty", 0.6).param("corrupt_ch", true).param("use_shadows", true);
-    exp::Scenario rep = base;
-    rep.binary.pct_faulty = 0.6;
-    rep.binary.corrupt_ch = true;
-    rep.binary.use_shadows = true;
-    return io.finish(rep);
+    io.faulty_table("Extension: corrupt cluster head masked by shadow CHs + base station vote",
+                    base, {0.40, 0.60, 0.80},
+                    {{"honest CH", {}},
+                     {"corrupt CH, no shadows", {"corrupt_ch=true"}},
+                     {"corrupt CH + shadows", {"corrupt_ch=true", "use_shadows=true"}}},
+                    io.trial_runs(10), "% faulty nodes");
+    return io.finish(base, {"pct_faulty=0.6", "corrupt_ch=true", "use_shadows=true"});
 }

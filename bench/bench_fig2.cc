@@ -5,12 +5,7 @@
 //
 // Paper shape to reproduce: accuracy stays above ~85% through 70% faulty,
 // then falls off at 80-90%.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/binary_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -31,39 +26,14 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    const std::vector<double> pct = {0.40, 0.50, 0.60, 0.70, 0.80, 0.90};
-    const std::vector<double> ners = {0.00, 0.01, 0.05};
-    const std::size_t runs = io.trial_runs(30);
-
-    std::vector<exp::Scenario> cells;
-    for (double p : pct) {
-        for (double ner : ners) {
-            exp::Scenario s = base;
-            s.binary.pct_faulty = p;
-            s.faults.natural_error_rate = ner;
-            cells.push_back(s);
-        }
-        exp::Scenario b = base;
-        b.binary.pct_faulty = p;
-        b.faults.natural_error_rate = 0.01;
-        b.engine.policy = core::DecisionPolicy::MajorityVote;
-        cells.push_back(b);
-    }
-    io.require_valid(cells);
-    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
-
-    util::Table t("Figure 2: binary model accuracy vs % faulty (missed alarms only)");
-    t.header({"% faulty", "NER 0% TIBFIT", "NER 1% TIBFIT", "NER 5% TIBFIT", "NER 1% Baseline"});
-    auto cell = acc.begin();
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (std::size_t c = 0; c <= ners.size(); ++c) row.push_back(*cell++);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("pct_faulty", 0.5).param("correct_ner", 0.01);
-    exp::Scenario rep = base;
-    rep.binary.pct_faulty = 0.5;
-    rep.faults.natural_error_rate = 0.01;
-    return io.finish(rep);
+    io.faulty_table("Figure 2: binary model accuracy vs % faulty (missed alarms only)", base,
+                    {0.40, 0.50, 0.60, 0.70, 0.80, 0.90},
+                    {{"NER 0% TIBFIT", {"natural_error_rate=0"}},
+                     {"NER 1% TIBFIT", {"natural_error_rate=0.01"}},
+                     {"NER 5% TIBFIT", {"natural_error_rate=0.05"}},
+                     {"NER 1% Baseline", {"natural_error_rate=0.01", "policy=majority_vote"}}},
+                    io.trial_runs(30));
+    io.param("correct_ner", 0.01);
+    base.faults.natural_error_rate = 0.01;
+    return io.finish(base, {"pct_faulty=0.5"});
 }

@@ -6,12 +6,7 @@
 // Paper shape: 75% false alarms is the *best* curve below 80% compromised
 // (the alarms drain faulty nodes' trust) then collapses at 80%; 10% false
 // alarms holds the highest accuracy there.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/binary_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -26,34 +21,11 @@ int main(int argc, char** argv) {
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;
 
-    const std::vector<double> pct = {0.40, 0.50, 0.60, 0.70, 0.80, 0.90};
-    const std::vector<double> fas = {0.0, 0.10, 0.75};
-    const std::size_t runs = io.trial_runs(30);
-
-    std::vector<exp::Scenario> cells;
-    for (double p : pct) {
-        for (double fa : fas) {
-            exp::Scenario c = base;
-            c.binary.pct_faulty = p;
-            c.faults.false_alarm_rate = fa;
-            cells.push_back(c);
-        }
-    }
-    io.require_valid(cells);
-    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
-
-    util::Table t("Figure 3: binary model accuracy vs % faulty (missed + false alarms, NER 1%)");
-    t.header({"% faulty", "FA 0%", "FA 10%", "FA 75%"});
-    auto cell = acc.begin();
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (std::size_t c = 0; c < fas.size(); ++c) row.push_back(*cell++);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("pct_faulty", 0.5).param("false_alarm_rate", 0.10);
-    exp::Scenario rep = base;
-    rep.binary.pct_faulty = 0.5;
-    rep.faults.false_alarm_rate = 0.10;
-    return io.finish(rep);
+    io.faulty_table("Figure 3: binary model accuracy vs % faulty (missed + false alarms, NER 1%)",
+                    base, {0.40, 0.50, 0.60, 0.70, 0.80, 0.90},
+                    {{"FA 0%", {"false_alarm_rate=0"}},
+                     {"FA 10%", {"false_alarm_rate=0.1"}},
+                     {"FA 75%", {"false_alarm_rate=0.75"}}},
+                    io.trial_runs(30));
+    return io.finish(base, {"pct_faulty=0.5", "false_alarm_rate=0.1"});
 }

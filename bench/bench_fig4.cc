@@ -7,12 +7,7 @@
 //
 // Paper shape: models track each other below 40% compromised; past 40%
 // TIBFIT wins by 7-20 points and holds near 80% at 58% compromised.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -28,47 +23,17 @@ int main(int argc, char** argv) {
         return 0;
     }
 
-    const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
-    struct Series {
-        const char* name;
-        double cs, fs;
-        core::DecisionPolicy policy;
-    };
-    const Series series[] = {
-        {"Lvl0 1.6-4.25 TIBFIT", 1.6, 4.25, core::DecisionPolicy::TrustIndex},
-        {"Lvl0 1.6-4.25 Baseline", 1.6, 4.25, core::DecisionPolicy::MajorityVote},
-        {"Lvl0 2-6 TIBFIT", 2.0, 6.0, core::DecisionPolicy::TrustIndex},
-        {"Lvl0 2-6 Baseline", 2.0, 6.0, core::DecisionPolicy::MajorityVote},
-    };
-    const std::size_t runs = io.trial_runs(5);
-
-    std::vector<exp::Scenario> cells;
-    for (double p : pct) {
-        for (const auto& s : series) {
-            exp::Scenario sc = base;
-            sc.location.pct_faulty = p;
-            sc.faults.correct_sigma = s.cs;
-            sc.faults.faulty_sigma = s.fs;
-            sc.engine.policy = s.policy;
-            cells.push_back(sc);
-        }
-    }
-    io.require_valid(cells);
-    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
-
-    util::Table t("Figure 4: location model accuracy vs % faulty (level 0)");
-    t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
-    auto cell = acc.begin();
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (std::size_t c = 0; c < std::size(series); ++c) row.push_back(*cell++);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("pct_faulty", 0.3).param("correct_sigma", 1.6).param("faulty_sigma", 4.25);
-    exp::Scenario rep = base;
-    rep.location.pct_faulty = 0.3;
-    rep.faults.correct_sigma = 1.6;
-    rep.faults.faulty_sigma = 4.25;
-    return io.finish(rep);
+    io.faulty_table(
+        "Figure 4: location model accuracy vs % faulty (level 0)", base,
+        {0.10, 0.20, 0.30, 0.40, 0.50, 0.58},
+        {{"Lvl0 1.6-4.25 TIBFIT",
+          {"correct_sigma=1.6", "faulty_sigma=4.25", "policy=trust_index"}},
+         {"Lvl0 1.6-4.25 Baseline",
+          {"correct_sigma=1.6", "faulty_sigma=4.25", "policy=majority_vote"}},
+         {"Lvl0 2-6 TIBFIT",
+          {"correct_sigma=2", "faulty_sigma=6", "policy=trust_index"}},
+         {"Lvl0 2-6 Baseline",
+          {"correct_sigma=2", "faulty_sigma=6", "policy=majority_vote"}}},
+        io.trial_runs(5));
+    return io.finish(base, {"pct_faulty=0.3", "correct_sigma=1.6", "faulty_sigma=4.25"});
 }

@@ -5,12 +5,7 @@
 //
 // Paper shape: tolerating concurrent events does not significantly alter
 // detection accuracy.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -22,48 +17,16 @@ int main(int argc, char** argv) {
     base.location.events = 200;
     base.seed = 20050628;
 
-    const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
-    struct Series {
-        const char* name;
-        double cs, fs;
-        std::size_t burst;
-    };
-    const Series series[] = {
-        {"Lvl0 1.6-4.25 Single", 1.6, 4.25, 1},
-        {"Lvl0 1.6-4.25 Concurrent", 1.6, 4.25, 2},
-        {"Lvl0 2-6 Single", 2.0, 6.0, 1},
-        {"Lvl0 2-6 Concurrent", 2.0, 6.0, 2},
-    };
-    const std::size_t runs = io.trial_runs(5);
-
-    std::vector<exp::Scenario> cells;
-    for (double p : pct) {
-        for (const auto& s : series) {
-            exp::Scenario c = base;
-            c.location.pct_faulty = p;
-            c.faults.correct_sigma = s.cs;
-            c.faults.faulty_sigma = s.fs;
-            c.location.burst = s.burst;
-            cells.push_back(c);
-        }
-    }
-    io.require_valid(cells);
-    const std::vector<double> acc = exp::mean_accuracies(cells, runs);
-
-    util::Table t("Figure 7: single vs concurrent events (level 0, TIBFIT)");
-    t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
-    auto cell = acc.begin();
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (std::size_t c = 0; c < std::size(series); ++c) row.push_back(*cell++);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("pct_faulty", 0.3).param("burst", 2);
-    exp::Scenario rep = base;
-    rep.location.pct_faulty = 0.3;
-    rep.faults.correct_sigma = 1.6;
-    rep.faults.faulty_sigma = 4.25;
-    rep.location.burst = 2;
-    return io.finish(rep);
+    io.faulty_table("Figure 7: single vs concurrent events (level 0, TIBFIT)", base,
+                    {0.10, 0.20, 0.30, 0.40, 0.50, 0.58},
+                    {{"Lvl0 1.6-4.25 Single",
+                      {"correct_sigma=1.6", "faulty_sigma=4.25", "burst=1"}},
+                     {"Lvl0 1.6-4.25 Concurrent",
+                      {"correct_sigma=1.6", "faulty_sigma=4.25", "burst=2"}},
+                     {"Lvl0 2-6 Single",
+                      {"correct_sigma=2", "faulty_sigma=6", "burst=1"}},
+                     {"Lvl0 2-6 Concurrent",
+                      {"correct_sigma=2", "faulty_sigma=6", "burst=2"}}},
+                    io.trial_runs(5));
+    return io.finish(base, {"pct_faulty=0.3", "burst=2"});
 }

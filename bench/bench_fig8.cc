@@ -6,12 +6,7 @@
 //
 // Paper shape: TIBFIT outlives the baseline at equal sigmas (compare only
 // same-sigma lines) and holds near 80% accuracy at 60% compromised.
-#include <vector>
-
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -25,47 +20,14 @@ int main(int argc, char** argv) {
     base.location.decay_final = 0.75;
     base.location.decay_epoch_events = 50;
     base.location.epoch_events = 50;
+    base.faults.faulty_sigma = 4.25;
     base.seed = 20050628;
 
-    struct Series {
-        const char* name;
-        double cs;
-        core::DecisionPolicy policy;
-    };
-    const Series series[] = {
-        {"1.6-4.25 TIBFIT", 1.6, core::DecisionPolicy::TrustIndex},
-        {"1.6-4.25 Baseline", 1.6, core::DecisionPolicy::MajorityVote},
-        {"2-4.25 TIBFIT", 2.0, core::DecisionPolicy::TrustIndex},
-        {"2-4.25 Baseline", 2.0, core::DecisionPolicy::MajorityVote},
-    };
-    const std::size_t runs = io.trial_runs(5);
-
-    std::vector<exp::Scenario> cells;
-    for (const auto& s : series) {
-        exp::Scenario c = base;
-        c.faults.correct_sigma = s.cs;
-        c.faults.faulty_sigma = 4.25;
-        c.engine.policy = s.policy;
-        cells.push_back(c);
-    }
-    io.require_valid(cells);
-    const std::vector<std::vector<double>> curves = exp::mean_epoch_accuracies(cells, runs);
-
-    util::Table t("Figure 8: network decay, accuracy per 50-event epoch (faulty sigma 4.25)");
-    t.header({"events", "% faulty", series[0].name, series[1].name, series[2].name,
-              series[3].name});
-    const std::size_t epochs = curves[0].size();
-    for (std::size_t e = 0; e < epochs; ++e) {
-        const exp::LocationWorkload& wl = base.location;
-        const double pct = wl.decay_initial + wl.decay_step * static_cast<double>(e);
-        std::vector<double> row{static_cast<double>((e + 1) * wl.decay_epoch_events), 100.0 * pct};
-        for (const auto& c : curves) row.push_back(e < c.size() ? c[e] : 0.0);
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.param("correct_sigma", 1.6).param("faulty_sigma", 4.25).param("decay", true);
-    exp::Scenario rep = base;
-    rep.faults.correct_sigma = 1.6;
-    rep.faults.faulty_sigma = 4.25;
-    return io.finish(rep);
+    io.decay_table("Figure 8: network decay, accuracy per 50-event epoch (faulty sigma 4.25)", base,
+                   {{"1.6-4.25 TIBFIT", {"correct_sigma=1.6", "policy=trust_index"}},
+                    {"1.6-4.25 Baseline", {"correct_sigma=1.6", "policy=majority_vote"}},
+                    {"2-4.25 TIBFIT", {"correct_sigma=2", "policy=trust_index"}},
+                    {"2-4.25 Baseline", {"correct_sigma=2", "policy=majority_vote"}}},
+                   io.trial_runs(5));
+    return io.finish(base, {"correct_sigma=1.6", "faulty_sigma=4.25", "decay=true"});
 }

@@ -7,11 +7,14 @@
 #include <iomanip>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
+#include "exp/sweep.h"
 #include "obs/artifact.h"
 #include "obs/fields.h"
 #include "obs/recorder.h"
@@ -20,6 +23,27 @@
 namespace tibfit::exp {
 
 namespace {
+
+/// A knob, flag or token the bench cannot use: `<bench>: <why>`, exit 2.
+[[noreturn]] void reject(const std::string& bench, const std::string& why) {
+    std::cerr << bench << ": " << why << '\n';
+    std::exit(2);
+}
+
+/// A `key=value` knob whose value does not parse as `expects`, exit 2.
+[[noreturn]] void reject_value(const std::string& bench, std::string_view key,
+                               std::string_view value, const char* expects) {
+    std::cerr << bench << ": invalid value '" << value << "' for " << key << "= (expects "
+              << expects << ")\n";
+    std::exit(2);
+}
+
+/// `key=value` split at the first '='; the value is empty without one.
+std::pair<std::string_view, std::string_view> split_token(std::string_view token) {
+    const auto eq = token.find('=');
+    if (eq == token.npos) return {token, {}};
+    return {token.substr(0, eq), token.substr(eq + 1)};
+}
 
 void apply_jobs(std::string_view value, const std::string& bench) {
     if (const auto n = par::parse_jobs(value)) {
@@ -35,9 +59,7 @@ template <class T>
 T BenchIo::read(const std::string& key, T dflt, const char* expects) const {
     const auto it = params_.find(key);
     if (it != params_.end() && !obs::fields::parse_text(it->second, dflt)) {
-        std::cerr << name_ << ": invalid value '" << it->second << "' for " << key
-                  << "= (expects " << expects << ")\n";
-        std::exit(2);
+        reject_value(name_, key, it->second, expects);
     }
     return dflt;
 }
@@ -50,7 +72,10 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
         // --jobs only picks the thread count; results are bit-identical at
         // any value, so it is deliberately NOT echoed into argv_ (and thus
         // the artifact) — `--jobs 1` and `--jobs 8` runs must diff clean.
-        if (arg == "--jobs" && i + 1 < argc) {
+        if ((arg == "--jobs" || arg == "--json") && i + 1 == argc) {
+            reject(name_, std::string(arg) + " requires an argument");
+        }
+        if (arg == "--jobs") {
             apply_jobs(argv[++i], name_);
             continue;
         }
@@ -69,11 +94,12 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
             csv_ = true;
         } else if (arg == "--timing") {
             timing_ = true;
-        } else if (arg == "--json" && i + 1 < argc) {
+        } else if (arg == "--json") {
             json_path_ = argv[++i];
             argv_.emplace_back(json_path_);
         } else if (arg.rfind("--json=", 0) == 0) {
             json_path_ = arg.substr(std::strlen("--json="));
+            if (json_path_.empty()) reject(name_, "--json requires an argument");
         } else if (const auto eq = arg.find('='); eq != arg.npos && eq != 0) {
             params_[std::string(arg.substr(0, eq))] = arg.substr(eq + 1);
             cli_keys_.emplace_back(arg.substr(0, eq));
@@ -82,8 +108,11 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
 }
 
 std::size_t BenchIo::trial_runs(std::size_t dflt) const {
-    const std::size_t n = read("runs", dflt, "an integer");
-    return n > 0 ? n : dflt;
+    const auto it = params_.find("runs");
+    if (it != params_.end() && (!obs::fields::parse_text(it->second, dflt) || dflt == 0)) {
+        reject_value(name_, "runs", it->second, "a positive integer");
+    }
+    return dflt;
 }
 
 void BenchIo::declare(const std::string& key, std::string dflt, const std::string& help) {
@@ -153,6 +182,73 @@ void BenchIo::warn_undeclared() const {
     }
 }
 
+void BenchIo::apply_token(Scenario& s, std::string_view token) const {
+    const auto [key, value] = split_token(token);
+    try {
+        apply_override(s, key, value);
+    } catch (const std::invalid_argument& e) {
+        reject(name_, "'" + std::string(token) + "': " + e.what());
+    }
+}
+
+std::vector<Scenario> BenchIo::apply_series(const Scenario& base,
+                                            const std::vector<Series>& series) const {
+    std::vector<Scenario> out(series.size(), base);
+    for (std::size_t k = 0; k < series.size(); ++k) {
+        for (const std::string& token : series[k].tokens) apply_token(out[k], token);
+    }
+    return out;
+}
+
+void BenchIo::faulty_table(const std::string& title, const Scenario& base,
+                           const std::vector<double>& rows, const std::vector<Series>& series,
+                           std::size_t runs, const std::string& row_header) {
+    const std::vector<Scenario> columns = apply_series(base, series);
+    std::vector<Scenario> cells;
+    cells.reserve(rows.size() * columns.size());
+    for (const double p : rows) {
+        for (const Scenario& column : columns) {
+            Scenario& cell = cells.emplace_back(column);
+            (cell.kind == Scenario::Kind::Binary ? cell.binary.pct_faulty
+                                                 : cell.location.pct_faulty) = p;
+        }
+    }
+    require_valid(cells);
+    const std::vector<double> acc = mean_accuracies(cells, runs);
+
+    std::vector<std::string> header{row_header};
+    for (const Series& s : series) header.push_back(s.name);
+    util::Table t(title);
+    t.header(std::move(header));
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+        std::vector<double> row{100.0 * rows[r]};
+        for (std::size_t c = 0; c < series.size(); ++c) row.push_back(acc[r * series.size() + c]);
+        t.row_values(row, 3);
+    }
+    emit(t);
+}
+
+void BenchIo::decay_table(const std::string& title, const Scenario& base,
+                          const std::vector<Series>& series, std::size_t runs) {
+    const std::vector<Scenario> cells = apply_series(base, series);
+    require_valid(cells);
+    const std::vector<std::vector<double>> acc = mean_epoch_accuracies(cells, runs);
+
+    std::vector<std::string> header{"events", "% faulty"};
+    for (const Series& s : series) header.push_back(s.name);
+    util::Table t(title);
+    t.header(std::move(header));
+    const LocationWorkload& wl = base.location;
+    const std::size_t epochs = acc.empty() ? 0 : acc.front().size();
+    for (std::size_t e = 0; e < epochs; ++e) {
+        const double pct = wl.decay_initial + wl.decay_step * static_cast<double>(e);
+        std::vector<double> row{static_cast<double>((e + 1) * wl.decay_epoch_events), 100.0 * pct};
+        for (const auto& c : acc) row.push_back(e < c.size() ? c[e] : 0.0);
+        t.row_values(row, 3);
+    }
+    emit(t);
+}
+
 void BenchIo::emit(const util::Table& t) {
     if (csv_) {
         t.print_csv(std::cout);
@@ -196,13 +292,18 @@ int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
     return 0;
 }
 
-int BenchIo::finish(Scenario representative) {
+int BenchIo::finish(Scenario base, std::initializer_list<std::string_view> tokens) {
+    for (const std::string_view token : tokens) {
+        apply_token(base, token);
+        const auto [key, value] = split_token(token);
+        params_[std::string(key)] = value;
+    }
     return finish([&](obs::Recorder& rec) {
-        representative.recorder = &rec;
-        if (representative.kind == Scenario::Kind::Binary) {
-            run_binary_experiment(representative);
+        base.recorder = &rec;
+        if (base.kind == Scenario::Kind::Binary) {
+            run_binary_experiment(base);
         } else {
-            run_location_experiment(representative);
+            run_location_experiment(base);
         }
     });
 }

@@ -7,14 +7,21 @@
 // writes a schema-versioned JSON document with the emitted tables, the
 // echoed parameters, build metadata, and the full metrics registry of one
 // representative instrumented run (the bench supplies it via finish()).
+//
+// The paper's evaluation figures are grids: a compromised fraction per
+// row, one protocol configuration (a Series) per curve. faulty_table()
+// and decay_table() build, validate, run and emit such a grid in one
+// call; finish(base, tokens) names the representative run the same way.
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/scenario.h"
@@ -25,6 +32,13 @@ class Recorder;
 }  // namespace tibfit::obs
 
 namespace tibfit::exp {
+
+/// One curve of a figure: its column header and the `key=value` tokens
+/// (exp::apply_override) that turn the bench's base scenario into it.
+struct Series {
+    std::string name;
+    std::vector<std::string> tokens;
+};
 
 class BenchIo {
   public:
@@ -37,7 +51,8 @@ class BenchIo {
 
     /// The replication count for this bench's sweeps: the `runs=<n>`
     /// command-line override when given (echoed into the artifact like any
-    /// parameter), else `dflt` — the bench's paper-faithful default.
+    /// parameter), else `dflt` — the bench's paper-faithful default. A
+    /// value that is not a positive integer exits 2.
     std::size_t trial_runs(std::size_t dflt) const;
 
     /// exp::require_valid() under this bench's name: exits 2 with the
@@ -83,6 +98,24 @@ class BenchIo {
     /// copy for the artifact.
     void emit(const util::Table& t);
 
+    /// Emits a figure's %-faulty table. Its cells are row-major: for each
+    /// fraction in `rows`, each series (`base` with its tokens applied)
+    /// with its kind's pct_faulty set to that fraction. All cells pass
+    /// require_valid(), then run as one mean_accuracies() list of `runs`
+    /// trials each. The table is `title`, headed `row_header` then the
+    /// series names, with one row of 100 x fraction and the series'
+    /// accuracies per fraction, 3 digits.
+    void faulty_table(const std::string& title, const Scenario& base,
+                      const std::vector<double>& rows, const std::vector<Series>& series,
+                      std::size_t runs, const std::string& row_header = "% faulty");
+
+    /// Emits a decay run's per-epoch table (Figures 8-9): one cell per
+    /// series over `base`, validated, then run as one
+    /// mean_epoch_accuracies() list. Each row is an epoch: the event count
+    /// at its end, its scheduled % faulty, then each series' accuracy.
+    void decay_table(const std::string& title, const Scenario& base,
+                     const std::vector<Series>& series, std::size_t runs);
+
     /// True when the run should produce a JSON artifact.
     bool json_requested() const { return !json_path_.empty(); }
 
@@ -111,9 +144,11 @@ class BenchIo {
     /// artifact; without a callback, a small default binary run supplies
     /// the metrics. Returns the process exit code.
     int finish(const std::function<void(obs::Recorder&)>& instrument = {});
-    /// Same, with the representative experiment given as a scenario: it
-    /// runs (binary or location by kind) with the Recorder attached.
-    int finish(Scenario representative);
+    /// Same, with the representative experiment given as `base` plus
+    /// `tokens` (applied as a series' are, and each echoed into the
+    /// artifact's params as typed): it runs (binary or location by kind)
+    /// with the Recorder attached.
+    int finish(Scenario base, std::initializer_list<std::string_view> tokens = {});
 
   private:
     struct DeclaredOption {
@@ -125,6 +160,12 @@ class BenchIo {
     void declare(const std::string& key, std::string dflt, const std::string& help);
     bool declared(const std::string& key) const;
     void warn_undeclared() const;
+    /// Applies one series or representative `key=value` token to `s`;
+    /// exits 2 naming the token when apply_override() rejects it.
+    void apply_token(Scenario& s, std::string_view token) const;
+    /// One scenario per series: `base` with that series' tokens applied.
+    std::vector<Scenario> apply_series(const Scenario& base,
+                                       const std::vector<Series>& series) const;
     /// The user's value for `key` parsed as T, else `dflt`; exits 2 when
     /// the value does not parse.
     template <class T>

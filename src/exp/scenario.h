@@ -138,33 +138,6 @@ struct Scenario {
     static Scenario binary_defaults();
     static Scenario location_defaults();
 
-    // Fluent builder: each setter returns *this so scenarios compose in
-    // one expression. Only the knobs benches actually sweep get setters;
-    // anything else is reachable through the public members.
-    Scenario& with_seed(std::uint64_t s) { seed = s; return *this; }
-    Scenario& with_policy(core::DecisionPolicy p) { engine.policy = p; return *this; }
-    Scenario& with_lambda(double lambda) { engine.trust.lambda = lambda; return *this; }
-    Scenario& with_fault_rate(double fr) { engine.trust.fault_rate = fr; return *this; }
-    Scenario& with_removal_ti(double ti) { engine.trust.removal_ti = ti; return *this; }
-    Scenario& with_t_out(double t) { engine.t_out = t; return *this; }
-    Scenario& with_channel_drop(double p) { channel.drop_probability = p; return *this; }
-    Scenario& with_pct_faulty(double pct) {
-        binary.pct_faulty = pct;
-        location.pct_faulty = pct;
-        return *this;
-    }
-    Scenario& with_events(std::size_t n) {
-        binary.events = n;
-        location.events = n;
-        return *this;
-    }
-    Scenario& with_campaign(inject::CampaignSpec spec) {
-        campaign = std::move(spec);
-        return *this;
-    }
-    Scenario& with_recorder(obs::Recorder* rec) { recorder = rec; return *this; }
-    Scenario& with_check_mode(check::Mode m) { check.mode = m; return *this; }
-
     /// The trust parameters a run actually uses: resolves the binary-kind
     /// "fault_rate tracks NER" sentinel.
     core::TrustParams effective_trust() const;

@@ -88,7 +88,7 @@ std::vector<std::vector<double>> detail::mean_epoch_accuracies(
             // every curve downstream loses its tail.
             std::size_t truncated = 0;
             for (const auto& t : trials) truncated += t.size() < max_len ? 1 : 0;
-            util::log_warn() << "mean_epoch_accuracy: cell " << k << ": " << truncated << " of "
+            util::log_warn() << "mean_epoch_accuracies: cell " << k << ": " << truncated << " of "
                              << runs << " runs produced fewer epochs than the longest ("
                              << min_len << " vs " << max_len << "); truncating every curve to "
                              << min_len << " epochs";
@@ -116,18 +116,6 @@ std::vector<std::vector<double>> mean_epoch_accuracies(std::span<const Scenario>
 
 double mean_accuracy(Scenario scenario, std::size_t runs) {
     return mean_accuracies({&scenario, 1}, runs).front();
-}
-
-std::vector<double> mean_epoch_accuracy(Scenario scenario, std::size_t runs) {
-    return mean_epoch_accuracies({&scenario, 1}, runs).front();
-}
-
-std::vector<double> sweep(Scenario scenario, const std::vector<double>& xs,
-                          const std::function<void(Scenario&, double)>& set,
-                          std::size_t runs) {
-    std::vector<Scenario> cells(xs.size(), scenario);
-    for (std::size_t i = 0; i < xs.size(); ++i) set(cells[i], xs[i]);
-    return mean_accuracies(cells, runs);
 }
 
 }  // namespace tibfit::exp

@@ -8,10 +8,10 @@
 // trials and not for a barrier per cell. Trial r of cell k always draws
 // the seed util::derive_trial_seed(cells[k].seed, r) and results reduce
 // in (cell, trial) order, so every mean and series is bit-identical at any
-// thread count and to calling the single-cell functions one cell at a
-// time; a cell's attached recorder receives its per-trial registries and
-// traces merged in trial order (docs/PARALLELISM.md). Each cell dispatches
-// on its Scenario kind.
+// thread count and to running each cell as a list of its own; a cell's
+// attached recorder receives its per-trial registries and traces merged in
+// trial order (docs/PARALLELISM.md). Each cell dispatches on its Scenario
+// kind.
 //
 // Errors: every trial of the list is attempted, then the exception of the
 // lowest (cell, trial) index is rethrown and nothing is merged into any
@@ -44,15 +44,6 @@ std::vector<std::vector<double>> mean_epoch_accuracies(std::span<const Scenario>
 
 /// mean_accuracies() of the one cell `scenario`.
 double mean_accuracy(Scenario scenario, std::size_t runs);
-
-/// mean_epoch_accuracies() of the one cell `scenario`.
-std::vector<double> mean_epoch_accuracy(Scenario scenario, std::size_t runs);
-
-/// Sweep helper: applies `set` for each value in `xs` and records the mean
-/// accuracy of the resulting scenario (one cell list over all of `xs`).
-std::vector<double> sweep(Scenario scenario, const std::vector<double>& xs,
-                          const std::function<void(Scenario&, double)>& set,
-                          std::size_t runs);
 
 namespace detail {
 

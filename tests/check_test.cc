@@ -71,7 +71,8 @@ TEST(CheckConfigTest, ModeNamesRoundTrip) {
 }
 
 TEST(CheckConfigTest, ScenarioSerializesCheckMode) {
-    exp::Scenario s = exp::Scenario::binary_defaults().with_check_mode(check::Mode::Shadow);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.check.mode = check::Mode::Shadow;
     const exp::Scenario back = exp::scenario_from_json_text(exp::to_json(s));
     EXPECT_EQ(back.check.mode, check::Mode::Shadow);
     // A scenario JSON without a "check" block stays off.
@@ -496,11 +497,11 @@ TEST(RefTrustTableTest, MutatorsRejectNoNode) {
 // Full-scenario smokes through the exp layer
 
 TEST(CheckScenarioTest, BinaryShadowRunIsDivergenceFree) {
-    exp::Scenario s = exp::Scenario::binary_defaults()
-                          .with_seed(20050628)
-                          .with_events(60)
-                          .with_pct_faulty(0.6)
-                          .with_check_mode(check::Mode::Shadow);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.seed = 20050628;
+    s.binary.events = 60;
+    s.binary.pct_faulty = 0.6;
+    s.check.mode = check::Mode::Shadow;
     const auto r = exp::run_binary_experiment(s);
     EXPECT_GT(r.checked_decisions, 0u);
     EXPECT_EQ(r.oracle_divergences, 0u);
@@ -508,11 +509,11 @@ TEST(CheckScenarioTest, BinaryShadowRunIsDivergenceFree) {
 }
 
 TEST(CheckScenarioTest, LocationShadowRunIsDivergenceFree) {
-    exp::Scenario s = exp::Scenario::location_defaults()
-                          .with_seed(20050628)
-                          .with_events(40)
-                          .with_pct_faulty(0.4)
-                          .with_check_mode(check::Mode::Shadow);
+    exp::Scenario s = exp::Scenario::location_defaults();
+    s.seed = 20050628;
+    s.location.events = 40;
+    s.location.pct_faulty = 0.4;
+    s.check.mode = check::Mode::Shadow;
     const auto r = exp::run_location_experiment(s);
     EXPECT_GT(r.checked_decisions, 0u);
     EXPECT_EQ(r.oracle_divergences, 0u);
@@ -520,20 +521,22 @@ TEST(CheckScenarioTest, LocationShadowRunIsDivergenceFree) {
 }
 
 TEST(CheckScenarioTest, OffModeReportsNothing) {
-    exp::Scenario s = exp::Scenario::binary_defaults().with_seed(7).with_events(20);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.seed = 7;
+    s.binary.events = 20;
     const auto r = exp::run_binary_experiment(s);
     EXPECT_EQ(r.checked_decisions, 0u);
     EXPECT_EQ(r.oracle_divergences, 0u);
 }
 
 TEST(CheckScenarioTest, ShadowDoesNotPerturbResults) {
-    exp::Scenario s = exp::Scenario::binary_defaults()
-                          .with_seed(20050628)
-                          .with_events(60)
-                          .with_pct_faulty(0.6);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.seed = 20050628;
+    s.binary.events = 60;
+    s.binary.pct_faulty = 0.6;
     const auto plain = exp::run_binary_experiment(s);
-    const auto shadowed =
-        exp::run_binary_experiment(exp::Scenario(s).with_check_mode(check::Mode::Shadow));
+    s.check.mode = check::Mode::Shadow;
+    const auto shadowed = exp::run_binary_experiment(s);
     EXPECT_EQ(plain.accuracy, shadowed.accuracy);
     EXPECT_EQ(plain.detected, shadowed.detected);
     EXPECT_EQ(plain.mean_ti_correct, shadowed.mean_ti_correct);

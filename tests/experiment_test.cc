@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <variant>
+#include <vector>
 
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
@@ -17,9 +18,10 @@
 namespace tibfit::exp {
 namespace {
 
-Scenario binary_base() {
+Scenario binary_base(double pct_faulty = 0.4) {
     Scenario c = Scenario::binary_defaults();
     c.binary.n_nodes = 10;
+    c.binary.pct_faulty = pct_faulty;
     c.binary.events = 100;
     c.engine.trust.lambda = 0.1;
     c.faults.natural_error_rate = 0.01;
@@ -29,9 +31,10 @@ Scenario binary_base() {
     return c;
 }
 
-Scenario location_base() {
+Scenario location_base(double pct_faulty = 0.1, std::size_t events = 100) {
     Scenario c = Scenario::location_defaults();
-    c.location.events = 100;
+    c.location.pct_faulty = pct_faulty;
+    c.location.events = events;
     c.seed = 42;
     return c;
 }
@@ -50,12 +53,12 @@ TEST(BinaryExperiment, RunsAllEvents) {
 }
 
 TEST(BinaryExperiment, HighAccuracyAtModerateCompromise) {
-    const auto r = run_binary_experiment(binary_base().with_pct_faulty(0.5));
+    const auto r = run_binary_experiment(binary_base(0.5));
     EXPECT_GT(r.accuracy, 0.9);
 }
 
 TEST(BinaryExperiment, FaultyNodesLoseTrust) {
-    const auto r = run_binary_experiment(binary_base().with_pct_faulty(0.5));
+    const auto r = run_binary_experiment(binary_base(0.5));
     // Correct nodes occasionally miss (NER) and recover slowly; faulty
     // nodes' trust collapses well below theirs.
     EXPECT_GT(r.mean_ti_correct, 0.8);
@@ -63,13 +66,14 @@ TEST(BinaryExperiment, FaultyNodesLoseTrust) {
 }
 
 TEST(BinaryExperiment, TibfitBeatsBaselineAtHighCompromise) {
-    const Scenario tib = binary_base().with_pct_faulty(0.8);
-    const Scenario base = Scenario(tib).with_policy(core::DecisionPolicy::MajorityVote);
+    const Scenario tib = binary_base(0.8);
+    Scenario base = tib;
+    base.engine.policy = core::DecisionPolicy::MajorityVote;
     EXPECT_GT(mean_accuracy(tib, 10), mean_accuracy(base, 10));
 }
 
 TEST(BinaryExperiment, FalseAlarmsCreateNegativeInstances) {
-    auto c = binary_base().with_pct_faulty(0.5);
+    auto c = binary_base(0.5);
     c.faults.false_alarm_rate = 0.75;
     const auto r = run_binary_experiment(c);
     EXPECT_GT(r.false_alarm_windows, 0u);
@@ -80,21 +84,21 @@ TEST(BinaryExperiment, FalseAlarmsCreateNegativeInstances) {
 
 TEST(BinaryExperiment, ModerateFalseAlarmsDoNotHurtDetection) {
     // The Figure-3 effect: false alarms drain faulty nodes' trust.
-    const Scenario quiet = binary_base().with_pct_faulty(0.7);
+    const Scenario quiet = binary_base(0.7);
     Scenario noisy = quiet;
     noisy.faults.false_alarm_rate = 0.75;
     EXPECT_GT(mean_accuracy(noisy, 10), mean_accuracy(quiet, 10) - 0.05);
 }
 
 TEST(BinaryExperiment, CorruptChDestroysAccuracy) {
-    auto c = binary_base().with_pct_faulty(0.4);
+    auto c = binary_base(0.4);
     c.binary.corrupt_ch = true;
     const auto r = run_binary_experiment(c);
     EXPECT_LT(r.accuracy, 0.1);  // every announcement inverted
 }
 
 TEST(BinaryExperiment, ShadowsMaskCorruptCh) {
-    auto c = binary_base().with_pct_faulty(0.4);
+    auto c = binary_base(0.4);
     c.binary.corrupt_ch = true;
     c.binary.use_shadows = true;
     const auto r = run_binary_experiment(c);
@@ -103,7 +107,7 @@ TEST(BinaryExperiment, ShadowsMaskCorruptCh) {
 }
 
 TEST(BinaryExperiment, ShadowsNeutralWithHonestCh) {
-    const Scenario c = binary_base().with_pct_faulty(0.4);
+    const Scenario c = binary_base(0.4);
     Scenario with = c;
     with.binary.use_shadows = true;
     const auto plain = run_binary_experiment(c);
@@ -121,26 +125,27 @@ TEST(LocationExperiment, Deterministic) {
 }
 
 TEST(LocationExperiment, NearPerfectWithFewFaults) {
-    const auto r = run_location_experiment(location_base().with_pct_faulty(0.1));
+    const auto r = run_location_experiment(location_base(0.1));
     EXPECT_GT(r.accuracy, 0.95);
     EXPECT_EQ(r.events, 100u);
 }
 
 TEST(LocationExperiment, FaultyNodesLoseTrust) {
-    const auto r = run_location_experiment(location_base().with_pct_faulty(0.3).with_events(150));
+    const auto r = run_location_experiment(location_base(0.3, 150));
     EXPECT_GT(r.mean_ti_correct, 0.8);
     EXPECT_LT(r.mean_ti_faulty, r.mean_ti_correct - 0.3);
 }
 
 TEST(LocationExperiment, TibfitBeatsBaselinePastHalf) {
-    const Scenario tib = location_base().with_pct_faulty(0.55).with_events(150);
-    const Scenario base = Scenario(tib).with_policy(core::DecisionPolicy::MajorityVote);
+    const Scenario tib = location_base(0.55, 150);
+    Scenario base = tib;
+    base.engine.policy = core::DecisionPolicy::MajorityVote;
     EXPECT_GT(mean_accuracy(tib, 3), mean_accuracy(base, 3) + 0.03);
 }
 
 TEST(LocationExperiment, Level1KeepsAccuracyHigh) {
     // Figure 5: the hysteresis forces level-1 nodes to mostly behave.
-    auto c = location_base().with_pct_faulty(0.58).with_events(150);
+    auto c = location_base(0.58, 150);
     c.location.fault_level = sensor::NodeClass::Level1;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.85);
@@ -148,7 +153,7 @@ TEST(LocationExperiment, Level1KeepsAccuracyHigh) {
 
 TEST(LocationExperiment, Level2WorseThanLevel1) {
     // Figure 6: collusion hurts more than independent smart faults.
-    auto l1 = location_base().with_pct_faulty(0.5).with_events(150);
+    auto l1 = location_base(0.5, 150);
     l1.location.fault_level = sensor::NodeClass::Level1;
     auto l2 = l1;
     l2.location.fault_level = sensor::NodeClass::Level2;
@@ -157,7 +162,7 @@ TEST(LocationExperiment, Level2WorseThanLevel1) {
 
 TEST(LocationExperiment, ConcurrentEventsComparableToSingle) {
     // Figure 7: concurrency does not materially change accuracy.
-    const Scenario single = location_base().with_pct_faulty(0.3).with_events(120);
+    const Scenario single = location_base(0.3, 120);
     Scenario conc = single;
     conc.location.burst = 2;
     EXPECT_NEAR(mean_accuracy(conc, 3), mean_accuracy(single, 3), 0.12);
@@ -188,8 +193,12 @@ TEST(LocationExperiment, DecayTibfitOutlastsBaseline) {
     tib.location.decay_final = 0.65;
     tib.location.decay_epoch_events = 25;
     tib.location.epoch_events = 25;
-    const auto rt = mean_epoch_accuracy(tib, 3);
-    const auto rb = mean_epoch_accuracy(tib.with_policy(core::DecisionPolicy::MajorityVote), 3);
+    auto baseline = tib;
+    baseline.engine.policy = core::DecisionPolicy::MajorityVote;
+    const std::vector<Scenario> cells{tib, baseline};
+    const auto curves = mean_epoch_accuracies(cells, 3);
+    const auto& rt = curves[0];
+    const auto& rb = curves[1];
     ASSERT_EQ(rt.size(), rb.size());
     // Cumulative accuracy over the decayed half of the run favours TIBFIT.
     double t_late = 0.0, b_late = 0.0;
@@ -201,14 +210,14 @@ TEST(LocationExperiment, DecayTibfitOutlastsBaseline) {
 }
 
 TEST(LocationExperiment, IsolationDiagnosesFaultyNodes) {
-    const auto r = run_location_experiment(location_base().with_pct_faulty(0.3).with_events(200));
+    const auto r = run_location_experiment(location_base(0.3, 200));
     EXPECT_GT(r.isolated, 0u);  // diagnosis happened
 }
 
 TEST(LocationExperiment, MultiHopMatchesSingleHop) {
     // Section 3.4 extension: the decision pipeline should be agnostic to
     // whether reports arrive in one hop or over relays.
-    const Scenario single = location_base().with_pct_faulty(0.3).with_events(120);
+    const Scenario single = location_base(0.3, 120);
     Scenario multi = single;
     multi.location.multihop = true;
     multi.location.radio_range = 30.0;
@@ -219,7 +228,7 @@ TEST(LocationExperiment, MultiHopMatchesSingleHop) {
 }
 
 TEST(LocationExperiment, MultiHopDeterministic) {
-    auto c = location_base().with_events(60);
+    auto c = location_base(0.1, 60);
     c.location.multihop = true;
     const auto a = run_location_experiment(c);
     const auto b = run_location_experiment(c);
@@ -228,7 +237,7 @@ TEST(LocationExperiment, MultiHopDeterministic) {
 }
 
 TEST(LocationExperiment, CollusionDefenseImprovesLevel2) {
-    auto off = location_base().with_pct_faulty(0.55).with_events(200);
+    auto off = location_base(0.55, 200);
     off.location.fault_level = sensor::NodeClass::Level2;
     auto on = off;
     on.engine.collusion_defense = true;
@@ -236,7 +245,7 @@ TEST(LocationExperiment, CollusionDefenseImprovesLevel2) {
 }
 
 TEST(LocationExperiment, RandomLayoutAlsoWorks) {
-    auto c = location_base().with_pct_faulty(0.2);
+    auto c = location_base(0.2);
     c.location.grid_layout = false;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.85);
@@ -275,18 +284,15 @@ TEST(LocationExperiment, TraceOffByDefault) {
 }
 
 TEST(Sweep, BinarySweepShapes) {
-    auto c = binary_base();
-    const auto accs = sweep(
-        c, {0.2, 0.9}, [](Scenario& cfg, double x) { cfg.binary.pct_faulty = x; }, 3);
+    const std::vector<Scenario> cells{binary_base(0.2), binary_base(0.9)};
+    const auto accs = mean_accuracies(cells, 3);
     ASSERT_EQ(accs.size(), 2u);
     EXPECT_GT(accs[0], accs[1]);  // more faults, less accuracy
 }
 
 TEST(Sweep, LocationSweepShapes) {
-    auto c = location_base();
-    c.location.events = 80;
-    const auto accs = sweep(
-        c, {0.1, 0.58}, [](Scenario& cfg, double x) { cfg.location.pct_faulty = x; }, 2);
+    const std::vector<Scenario> cells{location_base(0.1, 80), location_base(0.58, 80)};
+    const auto accs = mean_accuracies(cells, 2);
     ASSERT_EQ(accs.size(), 2u);
     EXPECT_GE(accs[0], accs[1]);
 }

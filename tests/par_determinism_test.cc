@@ -81,34 +81,37 @@ TEST(ParallelDeterminism, EpochSeriesBitIdenticalAcrossJobs) {
     c.location.events = 100;
     c.location.epoch_events = 25;
     par::set_jobs(1);
-    const auto serial = mean_epoch_accuracy(c, 5);
+    const auto serial = mean_epoch_accuracies({&c, 1}, 5).front();
     EXPECT_FALSE(serial.empty());
     for (std::size_t jobs : {2u, 8u}) {
         par::set_jobs(jobs);
-        EXPECT_EQ(mean_epoch_accuracy(c, 5), serial) << "jobs=" << jobs;
+        EXPECT_EQ(mean_epoch_accuracies({&c, 1}, 5).front(), serial) << "jobs=" << jobs;
     }
 }
 
 TEST(ParallelDeterminism, SweepBinaryBitIdenticalAcrossJobs) {
     JobsGuard guard;
-    const std::vector<double> xs = {0.2, 0.4, 0.6};
-    const auto set = [](Scenario& c, double x) { c.binary.pct_faulty = x; };
+    std::vector<Scenario> cells(3, small_binary());
+    cells[0].binary.pct_faulty = 0.2;
+    cells[1].binary.pct_faulty = 0.4;
+    cells[2].binary.pct_faulty = 0.6;
     par::set_jobs(1);
-    const auto serial = sweep(small_binary(), xs, set, 8);
+    const auto serial = mean_accuracies(cells, 8);
     for (std::size_t jobs : {2u, 8u}) {
         par::set_jobs(jobs);
-        EXPECT_EQ(sweep(small_binary(), xs, set, 8), serial) << "jobs=" << jobs;
+        EXPECT_EQ(mean_accuracies(cells, 8), serial) << "jobs=" << jobs;
     }
 }
 
 TEST(ParallelDeterminism, SweepLocationBitIdenticalAcrossJobs) {
     JobsGuard guard;
-    const std::vector<double> xs = {0.1, 0.5};
-    const auto set = [](Scenario& c, double x) { c.location.pct_faulty = x; };
+    std::vector<Scenario> cells(2, small_location());
+    cells[0].location.pct_faulty = 0.1;
+    cells[1].location.pct_faulty = 0.5;
     par::set_jobs(1);
-    const auto serial = sweep(small_location(), xs, set, 4);
+    const auto serial = mean_accuracies(cells, 4);
     par::set_jobs(8);
-    EXPECT_EQ(sweep(small_location(), xs, set, 4), serial);
+    EXPECT_EQ(mean_accuracies(cells, 4), serial);
 }
 
 TEST(ParallelDeterminism, MergedMetricsJsonBitIdenticalAcrossJobs) {
@@ -279,7 +282,7 @@ TEST(FlatSweep, EpochAccuraciesMatchPerCellCalls) {
     cells.push_back(c);
     par::set_jobs(1);
     std::vector<std::vector<double>> want;
-    for (const auto& cell : cells) want.push_back(mean_epoch_accuracy(cell, 3));
+    for (const auto& cell : cells) want.push_back(mean_epoch_accuracies({&cell, 1}, 3).front());
     EXPECT_EQ(want[2].size(), 4u);
     for (std::size_t jobs : {1u, 3u, 4u, 8u}) {
         par::set_jobs(jobs);

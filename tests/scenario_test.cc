@@ -1,24 +1,31 @@
 // exp::Scenario contract tests: the validate() rejection table (which the
 // runners enforce), the JSON round-trip and its pinned text, key=value
-// overrides, the fluent with_* setters, and equivalence of the
-// LocationConfig mapping with the Scenario-native entry point.
+// overrides, and equivalence of the LocationConfig mapping with the
+// Scenario-native entry point.
 #include "exp/scenario.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/bench_io.h"
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
+#include "exp/sweep.h"
 #include "obs/json.h"
+#include "util/table.h"
 
 namespace tibfit::exp {
 namespace {
@@ -153,17 +160,16 @@ TEST(Scenario, ValidateRejectionTable) {
     }
 }
 
-TEST(Scenario, FluentBuilderComposes) {
-    Scenario s = Scenario::binary_defaults()
-                     .with_seed(77)
-                     .with_policy(core::DecisionPolicy::MajorityVote)
-                     .with_lambda(0.5)
-                     .with_fault_rate(0.02)
-                     .with_removal_ti(0.1)
-                     .with_t_out(2.0)
-                     .with_channel_drop(0.05)
-                     .with_pct_faulty(0.3)
-                     .with_events(42);
+// A bench's series and representative tokens compose: each sets one
+// field, and a leaf sets only the field of the scenario's own kind.
+TEST(Scenario, OverrideTokensCompose) {
+    Scenario s = Scenario::binary_defaults();
+    for (const std::string_view token :
+         {"seed=77", "policy=majority_vote", "lambda=0.5", "fault_rate=0.02", "removal_ti=0.1",
+          "t_out=2", "drop_probability=0.05", "pct_faulty=0.3", "events=42"}) {
+        const auto eq = token.find('=');
+        apply_override(s, token.substr(0, eq), token.substr(eq + 1));
+    }
     EXPECT_EQ(s.seed, 77u);
     EXPECT_EQ(s.engine.policy, core::DecisionPolicy::MajorityVote);
     EXPECT_EQ(s.engine.trust.lambda, 0.5);
@@ -172,7 +178,7 @@ TEST(Scenario, FluentBuilderComposes) {
     EXPECT_EQ(s.engine.t_out, 2.0);
     EXPECT_EQ(s.channel.drop_probability, 0.05);
     EXPECT_EQ(s.binary.pct_faulty, 0.3);
-    EXPECT_EQ(s.location.pct_faulty, 0.3);
+    EXPECT_EQ(s.location.pct_faulty, Scenario::binary_defaults().location.pct_faulty);
     EXPECT_EQ(s.binary.events, 42u);
 }
 
@@ -249,8 +255,11 @@ TEST(Scenario, LocationShimMatchesScenarioRun) {
     c.pct_faulty = 0.3;
     c.seed = 31337;
     const LocationResult via_shim = run_location_experiment(to_scenario(c));
-    const LocationResult via_scenario = run_location_experiment(
-        Scenario::location_defaults().with_events(40).with_pct_faulty(0.3).with_seed(31337));
+    Scenario s = Scenario::location_defaults();
+    s.location.events = 40;
+    s.location.pct_faulty = 0.3;
+    s.seed = 31337;
+    const LocationResult via_scenario = run_location_experiment(s);
     EXPECT_EQ(via_shim.accuracy, via_scenario.accuracy);
     EXPECT_EQ(via_shim.detected, via_scenario.detected);
     EXPECT_EQ(via_shim.isolated, via_scenario.isolated);
@@ -647,6 +656,107 @@ TEST(BenchIoDeathTest, WrongTypedKnobsExitTwo) {
                 ::testing::ExitedWithCode(2), "invalid value 'inf' for lambda=");
     EXPECT_EXIT(run("runs=-1", [](BenchIo& io) { io.trial_runs(5); }),
                 ::testing::ExitedWithCode(2), "invalid value '-1' for runs=");
+    EXPECT_EXIT(run("runs=0", [](BenchIo& io) { io.trial_runs(5); }),
+                ::testing::ExitedWithCode(2),
+                "invalid value '0' for runs= \\(expects a positive integer\\)");
+}
+
+// A flag missing its argument exits 2 naming the flag, instead of being
+// dropped with no artifact written.
+TEST(BenchIoDeathTest, FlagMissingItsArgumentExitsTwo) {
+    const auto parse = [](std::vector<std::string> args) {
+        std::vector<char*> argv;
+        for (std::string& a : args) argv.push_back(a.data());
+        BenchIo io("bench_fig10", static_cast<int>(argv.size()), argv.data());
+    };
+    EXPECT_EXIT(parse({"bench_fig10", "--csv", "--json"}), ::testing::ExitedWithCode(2),
+                "bench_fig10: --json requires an argument");
+    EXPECT_EXIT(parse({"bench_fig10", "--json="}), ::testing::ExitedWithCode(2),
+                "bench_fig10: --json requires an argument");
+    EXPECT_EXIT(parse({"bench_fig10", "runs=2", "--jobs"}), ::testing::ExitedWithCode(2),
+                "bench_fig10: --jobs requires an argument");
+}
+
+Scenario tiny_binary() {
+    Scenario s = Scenario::binary_defaults();
+    s.binary.events = 20;
+    s.seed = 5;
+    return s;
+}
+
+// A series or representative token apply_override() rejects exits 2
+// naming the token, before any trial runs.
+TEST(BenchIoDeathTest, MalformedGridTokenExitsTwo) {
+    char name[] = "bench_fig4";
+    char* argv[] = {name};
+    BenchIo io("bench_fig4", 1, argv);
+    EXPECT_EXIT(io.faulty_table("t", tiny_binary(), {0.4}, {{"s", {"faulty_sigma=abc"}}}, 1),
+                ::testing::ExitedWithCode(2),
+                "bench_fig4: 'faulty_sigma=abc': scenario: faults.faulty_sigma expects");
+    EXPECT_EXIT(io.decay_table("t", Scenario::location_defaults(), {{"s", {"radio_range"}}}, 1),
+                ::testing::ExitedWithCode(2), "bench_fig4: 'radio_range': scenario:");
+    EXPECT_EXIT(io.finish(tiny_binary(), {"pct_faulty=0.5", "sigma=2"}),
+                ::testing::ExitedWithCode(2),
+                "bench_fig4: 'sigma=2': scenario: unknown key 'sigma' for a binary scenario");
+}
+
+// The grid path emits exactly the table a bench used to lay out by hand:
+// row-major cells, one mean_accuracies() list, 3 digits.
+TEST(BenchIo, FaultyTableMatchesHandLaidTable) {
+    char name[] = "bench_grid";
+    char csv[] = "--csv";
+    char* argv[] = {name, csv};
+    BenchIo io("bench_grid", 2, argv);
+    ::testing::internal::CaptureStdout();
+    io.faulty_table("Grid: accuracy vs % faulty", tiny_binary(), {0.3, 0.8},
+                    {{"TIBFIT", {"missed_alarm_rate=0.9"}},
+                     {"Baseline", {"missed_alarm_rate=0.9", "policy=majority_vote"}}},
+                    2);
+    const std::string emitted = ::testing::internal::GetCapturedStdout();
+
+    std::vector<Scenario> cells;
+    for (const double p : {0.3, 0.8}) {
+        Scenario tib = tiny_binary();
+        tib.binary.pct_faulty = p;
+        tib.faults.missed_alarm_rate = 0.9;
+        Scenario base = tib;
+        base.engine.policy = core::DecisionPolicy::MajorityVote;
+        cells.insert(cells.end(), {tib, base});
+    }
+    const std::vector<double> acc = mean_accuracies(cells, 2);
+    ASSERT_NE(acc[1], acc[2]) << "cells must tell row-major from column-major order";
+    util::Table t("Grid: accuracy vs % faulty");
+    t.header({"% faulty", "TIBFIT", "Baseline"});
+    t.row_values({30.0, acc[0], acc[1]}, 3);
+    t.row_values({80.0, acc[2], acc[3]}, 3);
+    std::ostringstream want;
+    t.print_csv(want);
+    EXPECT_EQ(emitted, want.str());
+}
+
+// finish(base, tokens) echoes each token into the artifact as typed, not
+// re-rendered from the field it set.
+TEST(BenchIo, FinishEchoesTokensAsTyped) {
+    const std::string path = ::testing::TempDir() + "bench_io_finish_echo.json";
+    std::string name = "bench_grid", flag = "--json", where = path, knob = "pct_faulty=0.9";
+    char* argv[] = {name.data(), flag.data(), where.data(), knob.data()};
+    BenchIo io("bench_grid", 4, argv);
+    ASSERT_EQ(
+        io.finish(tiny_binary(), {"pct_faulty=0.50", "correct_sigma=2.0", "policy=majority_vote"}),
+        0);
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    const obs::json::Value doc = obs::json::parse(text);
+    const obs::json::Value* params = doc.find("params");
+    ASSERT_NE(params, nullptr);
+    const std::map<std::string, std::string> want = {
+        {"pct_faulty", "0.50"}, {"correct_sigma", "2.0"}, {"policy", "majority_vote"}};
+    for (const auto& [key, value] : want) {
+        const obs::json::Value* v = params->find(key);
+        ASSERT_NE(v, nullptr) << key;
+        EXPECT_EQ(v->as_string(), value) << key;
+    }
 }
 
 // A knob that parses but leaves a scenario invalid exits 2 with the

@@ -204,7 +204,13 @@ const Case kCases[] = {
 std::string run_pinned(const Case& c) {
     Scenario s = c.binary ? Scenario::binary_defaults() : Scenario::location_defaults();
     s.seed = c.seed;
-    s.with_events(c.binary ? 40 : 30).with_pct_faulty(c.binary ? 0.5 : 0.4);
+    if (c.binary) {
+        s.binary.events = 40;
+        s.binary.pct_faulty = 0.5;
+    } else {
+        s.location.events = 30;
+        s.location.pct_faulty = 0.4;
+    }
     s.location.rotation_period = 10;
     s.check.mode = check::Mode::Shadow;
     s.keep_decisions = true;
@@ -239,7 +245,8 @@ std::uint64_t hash_rounds(const std::vector<cluster::RoundRecord>& rounds) {
 LocationResult run_leach_pinned(check::Mode mode) {
     Scenario s = Scenario::location_defaults();
     s.seed = 32;
-    s.with_events(30).with_pct_faulty(0.4);
+    s.location.events = 30;
+    s.location.pct_faulty = 0.4;
     s.faults.natural_error_rate = 0.01;
     s.location.clustering = Clustering::Leach;
     s.location.leach = {0.1, 50.0, 0.005};

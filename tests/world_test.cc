@@ -82,7 +82,8 @@ TEST(WorldMirrorsTrust, PinnedEventCounts) {
     obs::Recorder smart_rec;
     Scenario smart = Scenario::location_defaults();
     smart.seed = 22;
-    smart.with_events(30).with_pct_faulty(0.4);
+    smart.location.events = 30;
+    smart.location.pct_faulty = 0.4;
     smart.location.fault_level = sensor::NodeClass::Level1;
     smart.recorder = &smart_rec;
     run_location_experiment(smart);
@@ -91,7 +92,8 @@ TEST(WorldMirrorsTrust, PinnedEventCounts) {
     obs::Recorder binary_rec;
     Scenario binary = Scenario::binary_defaults();
     binary.seed = 11;
-    binary.with_events(40).with_pct_faulty(0.5);
+    binary.binary.events = 40;
+    binary.binary.pct_faulty = 0.5;
     binary.recorder = &binary_rec;
     run_binary_experiment(binary);
     EXPECT_EQ(events_executed(binary_rec), 370u);  // 770 while every node mirrored
