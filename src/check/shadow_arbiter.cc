@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "obs/names.h"
-#include "obs/recorder.h"
 #include "util/log.h"
 
 namespace tibfit::check {
@@ -28,23 +26,8 @@ std::string ids(const std::vector<core::NodeId>& v) {
 ShadowArbiter::ShadowArbiter(const core::EngineConfig& cfg, bool abort_on_divergence)
     : cfg_(cfg), ref_(cfg.trust), abort_(abort_on_divergence) {}
 
-void ShadowArbiter::set_recorder(obs::Recorder* recorder) {
-    recorder_ = recorder;
-    c_checked_ = c_divergences_ = nullptr;
-    if (!recorder_) return;
-    auto& reg = recorder_->metrics();
-    c_checked_ = &reg.counter(obs::metric::kCheckDecisionsChecked);
-    c_divergences_ = &reg.counter(obs::metric::kCheckDivergences);
-}
-
-void ShadowArbiter::note_checked(std::size_t n) {
-    checked_ += n;
-    if (c_checked_) c_checked_->inc(static_cast<std::uint64_t>(n));
-}
-
 void ShadowArbiter::diverge(const std::string& what) {
     ++divergences_;
-    if (c_divergences_) c_divergences_->inc();
     if (log_.size() < kMaxLoggedDivergences) log_.push_back(what);
     util::log_warn() << "ShadowArbiter: oracle divergence: " << what;
     if (abort_) throw std::logic_error("ShadowArbiter: oracle divergence: " + what);
@@ -88,7 +71,7 @@ void ShadowArbiter::on_binary_decision(std::span<const core::NodeId> event_neigh
                                        const core::TrustManager& trust) {
     const auto want =
         ref_binary_decide(ref_, cfg_.policy, event_neighbours, reporters, apply_trust_updates);
-    note_checked(1);
+    ++checked_;
     if (decision.event_declared != want.event_declared) {
         diverge("binary verdict " + std::string(decision.event_declared ? "event" : "no-event") +
                 ", reference derives " + (want.event_declared ? "event" : "no-event"));
@@ -144,7 +127,7 @@ void ShadowArbiter::on_location_decisions(std::span<const core::EventReport> rep
         ref_, cfg_.policy, cfg_.sensing_radius, cfg_.r_error,
         core::EventClusterer::kDefaultMaxRounds, cfg_.trust_weighted_location, reports,
         node_positions, apply_trust_updates);
-    note_checked(decisions.size());
+    checked_ += decisions.size();
     if (decisions.size() != want.size()) {
         diverge("report group yields " + std::to_string(decisions.size()) +
                 " event clusters, reference derives " + std::to_string(want.size()));

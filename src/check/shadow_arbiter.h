@@ -14,9 +14,8 @@
 //
 // Divergences are counted (and capped details kept in divergence_log());
 // with abort_on_divergence the first one throws std::logic_error instead
-// — exp::Scenario maps check.mode shadow/assert onto these. With a
-// recorder attached the check.decisions_checked / check.divergences
-// counters land in the run artifact for CI to gate on.
+// — exp::Scenario maps check.mode shadow/assert onto these. exp::World
+// publishes the tallies in a recorded run's metrics, for CI to gate on.
 #pragma once
 
 #include <cstddef>
@@ -27,11 +26,6 @@
 #include "core/check_hooks.h"
 #include "core/decision_engine.h"
 
-namespace tibfit::obs {
-class Counter;
-class Recorder;
-}  // namespace tibfit::obs
-
 namespace tibfit::check {
 
 class ShadowArbiter final : public core::DecisionChecker {
@@ -39,10 +33,6 @@ class ShadowArbiter final : public core::DecisionChecker {
     /// `cfg` must be the shadowed engine's config (the reference needs the
     /// same policy / radii / trust parameters / extension flags).
     explicit ShadowArbiter(const core::EngineConfig& cfg, bool abort_on_divergence = false);
-
-    /// Routes the divergence counters into a run artifact. nullptr
-    /// detaches.
-    void set_recorder(obs::Recorder* recorder);
 
     std::size_t decisions_checked() const { return checked_; }
     std::size_t divergences() const { return divergences_; }
@@ -66,7 +56,6 @@ class ShadowArbiter final : public core::DecisionChecker {
     void on_trust_adopted(const core::TrustManager& trust) override;
 
   private:
-    void note_checked(std::size_t n);
     void diverge(const std::string& what);
     void compare_trust(const core::TrustManager& trust, const char* context);
     void compare_decision(const core::LocationDecision& got, const core::LocationDecision& want,
@@ -78,9 +67,6 @@ class ShadowArbiter final : public core::DecisionChecker {
     std::size_t checked_ = 0;
     std::size_t divergences_ = 0;
     std::vector<std::string> log_;
-    obs::Recorder* recorder_ = nullptr;
-    obs::Counter* c_checked_ = nullptr;
-    obs::Counter* c_divergences_ = nullptr;
 };
 
 }  // namespace tibfit::check

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -39,9 +40,6 @@ class BaseStation : public sim::Process {
     const core::TrustManager& archive() const { return archive_; }
     core::TrustManager& archive() { return archive_; }
 
-    /// Seeds the archive explicitly (e.g. fresh deployment).
-    void set_archive(core::TrustManager table) { archive_ = std::move(table); }
-
     /// Trust the station keeps about CH entities themselves (demoted when
     /// outvoted, Section 3.4).
     double ch_trust(sim::ProcessId ch) const;
@@ -61,16 +59,21 @@ class BaseStation : public sim::Process {
     void handle_packet(const net::Packet& packet) override;
 
   private:
+    /// One vote per (CH, decision seq), opened by the CH's decision or by
+    /// a shadow alert naming it, whichever arrives first.
     struct PendingVote {
         std::uint64_t seq;
         sim::ProcessId ch;
-        net::DecisionPayload announced;
+        std::optional<net::DecisionPayload> announced;  ///< the CH's copy, once heard
         std::size_t disagreements = 0;
         bool shadow_conclusion = false;  ///< last dissenting conclusion
         util::Vec2 shadow_location;
     };
 
+    /// Resolves a vote `alert_wait` after its decision arrived.
     void finalize(std::uint64_t key);
+    /// Drops a vote an alert opened if its decision never arrived.
+    void expire(std::uint64_t key);
     static std::uint64_t vote_key(sim::ProcessId ch, std::uint64_t seq) {
         return (static_cast<std::uint64_t>(ch) << 32) | seq;
     }

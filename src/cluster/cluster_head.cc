@@ -23,14 +23,6 @@ void ClusterHead::set_topology(std::vector<util::Vec2> node_positions) {
     masked_dirty_ = true;
 }
 
-void ClusterHead::set_members(const std::vector<core::NodeId>& members) {
-    is_member_.assign(node_positions_.size(), false);
-    for (core::NodeId m : members) {
-        if (m < is_member_.size()) is_member_[m] = true;
-    }
-    masked_dirty_ = true;
-}
-
 void ClusterHead::advertise(std::uint32_t round, core::NodeId self) {
     is_member_.assign(node_positions_.size(), false);
     if (self != core::kNoNode && self < is_member_.size()) is_member_[self] = true;
@@ -83,7 +75,6 @@ void ClusterHead::set_recorder(obs::Recorder* recorder) {
     // The engine keeps the attachment and re-applies it on every
     // adopt_trust, so CH rotations / failovers can't shed telemetry.
     engine_.set_recorder(recorder_);
-    if (transport_) transport_->set_recorder(recorder_);
 }
 
 void ClusterHead::begin_leadership(core::TrustManager table) {
@@ -105,7 +96,6 @@ void ClusterHead::end_leadership() {
 
 void ClusterHead::enable_relay(const net::RoutingTable* routes, net::TransportParams params) {
     transport_.emplace(sim(), radio_, routes, params);
-    transport_->set_recorder(recorder_);
 }
 
 void ClusterHead::request_archive() {

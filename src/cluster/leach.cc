@@ -60,16 +60,8 @@ ElectionResult LeachElection::run_round(std::uint32_t round,
         result.drafted = true;
     }
 
-    for (sim::ProcessId h : result.heads) {
-        last_served_round_[h] = round;
-        ++served_count_[h];
-    }
+    for (sim::ProcessId h : result.heads) last_served_round_[h] = round;
     return result;
-}
-
-std::uint32_t LeachElection::times_served(sim::ProcessId id) const {
-    auto it = served_count_.find(id);
-    return it == served_count_.end() ? 0 : it->second;
 }
 
 namespace {

@@ -71,16 +71,12 @@ class LeachElection {
     /// Runs one election round over the candidates.
     ElectionResult run_round(std::uint32_t round, std::span<const Candidate> candidates);
 
-    /// Number of times a node has served (for inspection).
-    std::uint32_t times_served(sim::ProcessId id) const;
-
   private:
     bool served_this_epoch(std::uint32_t round, sim::ProcessId id) const;
 
     LeachParams params_;
     util::Rng rng_;
     std::unordered_map<sim::ProcessId, std::uint32_t> last_served_round_;
-    std::unordered_map<sim::ProcessId, std::uint32_t> served_count_;
 };
 
 /// One round of LeachRounds, recorded for inspection.

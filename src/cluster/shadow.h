@@ -32,7 +32,6 @@ class ShadowClusterHead : public sim::Process {
     void set_topology(std::vector<util::Vec2> node_positions);
     void set_binary_mode(bool binary) { binary_mode_ = binary; }
 
-    sim::ProcessId watched_ch() const { return watched_ch_; }
     core::DecisionEngine& engine() { return engine_; }
 
     /// Number of alerts this shadow has sent.

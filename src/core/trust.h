@@ -157,11 +157,6 @@ class TrustManager {
     static TrustManager restore(const TrustCheckpoint& snapshot,
                                 obs::Recorder* recorder = nullptr);
 
-    /// Applies an externally decided judgement stream (shadow CHs mirror
-    /// the same inputs; the base station demotes a faulty CH): identical to
-    /// judge_correct/judge_faulty but named for intent at call sites.
-    void penalize(NodeId node) { judge_faulty(node); }
-
     /// Forces the node's trust below the removal threshold so that
     /// is_isolated() diagnoses it immediately (used by out-of-band evidence
     /// such as the collusion detector). Never *raises* v. With isolation

@@ -152,7 +152,6 @@ void World::add_head(cluster::ClusterHead& head) {
         // tables between heads, and each oracle resyncs on adoption.
         shadows_.push_back(std::make_unique<check::ShadowArbiter>(
             engine, scenario.check.mode == check::Mode::Assert));
-        shadows_.back()->set_recorder(rec);
         head.engine().set_checker(shadows_.back().get());
     }
 }
@@ -160,10 +159,7 @@ void World::add_head(cluster::ClusterHead& head) {
 void World::enable_relay(double head_range) {
     head_range_ = head_range;
     rebuild_routes(positions);
-    for (auto& n : nodes) {
-        n->enable_relay(&routes_, scenario.transport);
-        if (auto* t = n->transport()) t->set_recorder(rec);
-    }
+    for (auto& n : nodes) n->enable_relay(&routes_, scenario.transport);
     for (auto* h : heads_) h->enable_relay(&routes_, scenario.transport);
 }
 
@@ -212,16 +208,52 @@ void World::finish(RunResult& result, const core::TrustManager& final_trust) {
     result.mean_ti_correct = n_c ? sum_c / static_cast<double>(n_c) : 1.0;
     result.mean_ti_faulty = n_f ? sum_f / static_cast<double>(n_f) : 1.0;
 
+    std::size_t checked = 0, divergences = 0;
     for (const auto& shadow : shadows_) {
-        result.checked_decisions += shadow->decisions_checked();
-        result.oracle_divergences += shadow->divergences();
+        checked += shadow->decisions_checked();
+        divergences += shadow->divergences();
     }
+    result.checked_decisions += checked;
+    result.oracle_divergences += divergences;
 
     if (rec) {
         auto& reg = rec->metrics();
         reg.counter(obs::metric::kSimEventsExecuted).inc(simulator.executed());
         reg.gauge(obs::metric::kSimQueueHighWater)
             .set_max(static_cast<double>(simulator.queue_high_water()));
+        reg.counter(obs::metric::kChannelDelivered).inc(channel.delivered());
+        reg.counter(obs::metric::kChannelDropped).inc(channel.dropped());
+        reg.counter(obs::metric::kChannelOutOfRange).inc(channel.out_of_range());
+        reg.counter(obs::metric::kChannelCollisions).inc(channel.collisions());
+        // Injection-free runs keep their historical artifact shape: the
+        // injected_* counters exist only where a campaign armed the channel.
+        if (campaign && !scenario.campaign.degradations.empty()) {
+            reg.counter(obs::metric::kInjectedDrops).inc(channel.injected_drops());
+            reg.counter(obs::metric::kInjectedDuplicates).inc(channel.injected_duplicates());
+            reg.counter(obs::metric::kInjectedDelays).inc(channel.injected_delays());
+            reg.counter(obs::metric::kInjectedReorders).inc(channel.injected_reorders());
+        }
+        std::size_t originated = 0, forwarded = 0, retransmissions = 0, gave_up = 0,
+                    duplicates = 0;
+        const auto add_transport = [&](const net::ReliableTransport* t) {
+            if (!t) return;
+            originated += t->originated();
+            forwarded += t->forwarded();
+            retransmissions += t->retransmissions();
+            gave_up += t->gave_up();
+            duplicates += t->duplicates_suppressed();
+        };
+        for (const auto& n : nodes) add_transport(n->transport());
+        for (const auto* h : heads_) add_transport(h->transport());
+        reg.counter(obs::metric::kTransportOriginated).inc(originated);
+        reg.counter(obs::metric::kTransportForwarded).inc(forwarded);
+        reg.counter(obs::metric::kTransportRetransmissions).inc(retransmissions);
+        reg.counter(obs::metric::kTransportGaveUp).inc(gave_up);
+        reg.counter(obs::metric::kTransportDuplicates).inc(duplicates);
+        if (!shadows_.empty()) {
+            reg.counter(obs::metric::kCheckDecisionsChecked).inc(checked);
+            reg.counter(obs::metric::kCheckDivergences).inc(divergences);
+        }
         reg.gauge(obs::metric::kExpAccuracy).set(result.accuracy);
         reg.gauge(obs::metric::kExpEvents).set(static_cast<double>(result.events));
         reg.gauge(obs::metric::kExpDetected).set(static_cast<double>(result.detected));

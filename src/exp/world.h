@@ -84,8 +84,10 @@ class World {
     void schedule_campaign();
 
     /// The shared epilogue: mean TI split by ground truth (read from
-    /// `final_trust`), oracle tallies, the sim/exp/inject metrics, and the
-    /// kept decision log. Call after scoring `result`.
+    /// `final_trust`), oracle tallies, the kept decision log and, with a
+    /// recorder, the run's metrics. The sim, channel, transport and check
+    /// counts are published here, once, from their layers' tallies. Call
+    /// after scoring `result`.
     void finish(RunResult& result, const core::TrustManager& final_trust);
 
     const Scenario& scenario;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "obs/names.h"
 #include "obs/recorder.h"
 
 namespace tibfit::net {
@@ -73,36 +72,9 @@ void Channel::snoop(std::uint32_t slot, const Endpoint& src) {
     }
 }
 
-void Channel::set_recorder(obs::Recorder* recorder) {
-    recorder_ = recorder;
-    c_delivered_ = c_dropped_ = c_out_of_range_ = c_collisions_ = nullptr;
-    c_injected_drops_ = c_injected_duplicates_ = nullptr;
-    c_injected_delays_ = c_injected_reorders_ = nullptr;
-    if (!recorder_) return;
-    auto& reg = recorder_->metrics();
-    c_delivered_ = &reg.counter(obs::metric::kChannelDelivered);
-    c_dropped_ = &reg.counter(obs::metric::kChannelDropped);
-    c_out_of_range_ = &reg.counter(obs::metric::kChannelOutOfRange);
-    c_collisions_ = &reg.counter(obs::metric::kChannelCollisions);
-    resolve_injected_counters();
-}
-
 void Channel::set_fault_schedule(std::vector<ChannelFaultWindow> windows, util::Rng rng) {
     fault_windows_ = std::move(windows);
     fault_rng_ = rng;
-    resolve_injected_counters();
-}
-
-void Channel::resolve_injected_counters() {
-    // The injected_* metrics exist only in runs that armed a schedule:
-    // registering them unconditionally would change the artifact shape of
-    // every injection-free bench.
-    if (!recorder_ || fault_windows_.empty()) return;
-    auto& reg = recorder_->metrics();
-    c_injected_drops_ = &reg.counter(obs::metric::kInjectedDrops);
-    c_injected_duplicates_ = &reg.counter(obs::metric::kInjectedDuplicates);
-    c_injected_delays_ = &reg.counter(obs::metric::kInjectedDelays);
-    c_injected_reorders_ = &reg.counter(obs::metric::kInjectedReorders);
 }
 
 const ChannelFaultWindow* Channel::active_fault_window() const {
@@ -119,12 +91,10 @@ double Channel::injected_extra_delay(const ChannelFaultWindow& w) {
     if (w.delay_jitter > 0.0) {
         extra += fault_rng_.uniform(0.0, w.delay_jitter);
         ++injected_delays_;
-        if (c_injected_delays_) c_injected_delays_->inc();
     }
     if (w.reorder_probability > 0.0 && fault_rng_.chance(w.reorder_probability)) {
         extra += w.reorder_hold;
         ++injected_reorders_;
-        if (c_injected_reorders_) c_injected_reorders_->inc();
     }
     return extra;
 }
@@ -177,7 +147,6 @@ void Channel::deliver(Endpoint& to, std::uint32_t slot, double dist, double extr
             sim_->schedule(delay, delivery);
         }
         ++delivered_;
-        if (c_delivered_) c_delivered_->inc();
         return;
     }
 
@@ -201,13 +170,11 @@ void Channel::deliver(Endpoint& to, std::uint32_t slot, double dist, double extr
             if (sim_->cancel(r.timer)) {  // the victim dies mid-air
                 release(r.slot);
                 ++collisions_;
-                if (c_collisions_) c_collisions_->inc();
             }
         }
     }
     if (collided) {
         ++collisions_;
-        if (c_collisions_) c_collisions_->inc();
         note_drop(slots_[slot].packet, obs::DropReason::Collision);
         flights.push_back(Reception{arrive, end, sim::Timer{}, slot});  // jam marker
         return;
@@ -217,10 +184,7 @@ void Channel::deliver(Endpoint& to, std::uint32_t slot, double dist, double extr
 }
 
 void Channel::fire(const Delivery& d) {
-    if (params_.airtime > 0.0) {  // collision-free receptions count at send
-        ++delivered_;
-        if (c_delivered_) c_delivered_->inc();
-    }
+    if (params_.airtime > 0.0) ++delivered_;  // collision-free receptions count at send
     Packet& packet = slots_[d.slot].packet;
     packet.rssi = d.rssi;
     d.process->handle_packet(packet);
@@ -233,14 +197,12 @@ bool Channel::unicast(Packet&& packet) {
     auto dst_it = endpoints_.find(packet.dst);
     if (dst_it == endpoints_.end()) {
         ++out_of_range_;
-        if (c_out_of_range_) c_out_of_range_->inc();
         note_drop(packet, obs::DropReason::OutOfRange);
         return false;
     }
     const double dist = util::distance(src_it->second.position, dst_it->second.position);
     if (dist > src_it->second.range) {
         ++out_of_range_;
-        if (c_out_of_range_) c_out_of_range_->inc();
         note_drop(packet, obs::DropReason::OutOfRange);
         return false;
     }
@@ -256,7 +218,6 @@ bool Channel::send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst
     const Packet& packet = slots_[slot].packet;
     if (rng_.chance(sender_drop_probability(src))) {
         ++dropped_;
-        if (c_dropped_) c_dropped_->inc();
         note_drop(packet, obs::DropReason::Natural);
         return false;
     }
@@ -266,7 +227,6 @@ bool Channel::send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst
     if (const ChannelFaultWindow* w = active_fault_window()) {
         if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
             ++injected_drops_;
-            if (c_injected_drops_) c_injected_drops_->inc();
             note_drop(packet, obs::DropReason::Injected);
             return false;
         }
@@ -275,7 +235,6 @@ bool Channel::send_stored(std::uint32_t slot, const Endpoint& src, Endpoint& dst
             w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability);
         if (duplicate) {
             ++injected_duplicates_;
-            if (c_injected_duplicates_) c_injected_duplicates_->inc();
             deliver(dst, slot, dist, injected_extra_delay(*w));
         }
         deliver(dst, slot, dist, extra);
@@ -300,7 +259,6 @@ std::size_t Channel::broadcast(Packet&& packet) {
         const double dist = util::distance(src.position, ep.position);
         if (dist > src.range) {
             ++out_of_range_;
-            if (c_out_of_range_) c_out_of_range_->inc();
             continue;
         }
         // Receptions fail independently: each draws its own coins.

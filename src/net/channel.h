@@ -18,7 +18,6 @@
 #include "util/vec2.h"
 
 namespace tibfit::obs {
-class Counter;
 class Recorder;
 enum class DropReason;
 }  // namespace tibfit::obs
@@ -106,7 +105,8 @@ class Channel {
     /// all. Replaces any previous schedule; an empty vector disarms.
     void set_fault_schedule(std::vector<ChannelFaultWindow> windows, util::Rng rng);
 
-    // Telemetry.
+    // Telemetry: the run's only tallies (exp::World publishes them at run
+    // end).
     std::size_t delivered() const { return delivered_; }
     std::size_t dropped() const { return dropped_; }
     std::size_t out_of_range() const { return out_of_range_; }
@@ -122,11 +122,9 @@ class Channel {
     /// Packet slots still held by a pending delivery.
     std::size_t live_packet_slots() const { return slots_.size() - free_slots_.size(); }
 
-    /// Mirrors the telemetry counters into `recorder` (nullptr detaches).
-    /// With tracing enabled, drops of report-carrying packets also emit
-    /// ReportDropped trace records. Counter pointers are resolved once here,
-    /// so the send path never does a name lookup.
-    void set_recorder(obs::Recorder* recorder);
+    /// With tracing enabled on `recorder`, drops of report-carrying packets
+    /// emit ReportDropped trace records (nullptr detaches).
+    void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   private:
     /// One sent packet, stored once and shared by every reception of it
@@ -182,9 +180,6 @@ class Channel {
     /// Draws the injected delay-jitter / reorder-hold extras for one
     /// delivery under `w`. Consumes fault_rng_ only.
     double injected_extra_delay(const ChannelFaultWindow& w);
-    /// Resolves the injected_* counters (only once a schedule exists, so
-    /// injection-free artifacts keep their historical shape).
-    void resolve_injected_counters();
 
     sim::Simulator* sim_;
     util::Rng rng_;
@@ -207,14 +202,6 @@ class Channel {
     std::size_t injected_delays_ = 0;
     std::size_t injected_reorders_ = 0;
     obs::Recorder* recorder_ = nullptr;
-    obs::Counter* c_delivered_ = nullptr;
-    obs::Counter* c_dropped_ = nullptr;
-    obs::Counter* c_out_of_range_ = nullptr;
-    obs::Counter* c_collisions_ = nullptr;
-    obs::Counter* c_injected_drops_ = nullptr;
-    obs::Counter* c_injected_duplicates_ = nullptr;
-    obs::Counter* c_injected_delays_ = nullptr;
-    obs::Counter* c_injected_reorders_ = nullptr;
 };
 
 }  // namespace tibfit::net

@@ -39,7 +39,7 @@ struct AffiliatePayload {
 /// shadow CHs, and "smart" adversaries mirroring their own TI) can track
 /// the CH's bookkeeping.
 struct DecisionPayload {
-    std::uint64_t decision_seq = 0;  ///< per-CH decision counter (matches SCH alerts)
+    std::uint64_t decision_seq = 0;  ///< per-CH decision counter (SCH alerts name it)
     bool event_declared = false;
     bool has_location = false;
     util::Vec2 location;
@@ -61,8 +61,9 @@ struct TiRequestPayload {
 /// Shadow-CH alert to the base station: the shadow's own conclusion
 /// diverged from what the CH announced (Section 3.4).
 struct SchAlertPayload {
-    std::uint64_t decision_seq = 0;  ///< the CH decision being disputed
-    bool event_declared = false;     ///< the shadow's own conclusion
+    sim::ProcessId ch = sim::kNoProcess;  ///< the CH whose decision is disputed
+    std::uint64_t decision_seq = 0;       ///< that CH's decision counter
+    bool event_declared = false;          ///< the shadow's own conclusion
     bool has_location = false;
     util::Vec2 location;
 };

@@ -1,24 +1,10 @@
 #include "net/transport.h"
 
-#include "obs/names.h"
-#include "obs/recorder.h"
-
 namespace tibfit::net {
 
 ReliableTransport::ReliableTransport(sim::Simulator& sim, Radio radio,
                                      const RoutingTable* routes, TransportParams params)
     : sim_(&sim), radio_(radio), routes_(routes), params_(params) {}
-
-void ReliableTransport::set_recorder(obs::Recorder* recorder) {
-    c_originated_ = c_forwarded_ = c_retransmissions_ = c_gave_up_ = c_duplicates_ = nullptr;
-    if (!recorder) return;
-    auto& reg = recorder->metrics();
-    c_originated_ = &reg.counter(obs::metric::kTransportOriginated);
-    c_forwarded_ = &reg.counter(obs::metric::kTransportForwarded);
-    c_retransmissions_ = &reg.counter(obs::metric::kTransportRetransmissions);
-    c_gave_up_ = &reg.counter(obs::metric::kTransportGaveUp);
-    c_duplicates_ = &reg.counter(obs::metric::kTransportDuplicates);
-}
 
 bool ReliableTransport::send(sim::ProcessId final_dst, ReportPayload report) {
     if (!routes_->reachable(id(), final_dst)) return false;
@@ -30,7 +16,6 @@ bool ReliableTransport::send(sim::ProcessId final_dst, ReportPayload report) {
     env.report = std::move(report);
     seen_.insert(make_key(env.source, env.seq));  // don't loop back to self
     ++originated_;
-    if (c_originated_) c_originated_->inc();
     transmit_hop(env);
     return true;
 }
@@ -39,36 +24,32 @@ void ReliableTransport::transmit_hop(const RelayEnvelopePayload& envelope) {
     const sim::ProcessId hop = routes_->next_hop(id(), envelope.final_dst);
     if (hop == sim::kNoProcess || envelope.ttl == 0) {
         ++gave_up_;
-        if (c_gave_up_) c_gave_up_->inc();
         return;
     }
     const std::uint64_t key = make_key(envelope.source, envelope.seq);
-    PendingHop pending;
-    pending.envelope = envelope;
+    // Replaces any entry already pending under `key`.
+    PendingHop& pending =
+        pending_.insert_or_assign(key, PendingHop{envelope, hop, params_.max_retries, {}})
+            .first->second;
     pending.envelope.ttl = static_cast<std::uint8_t>(envelope.ttl - 1);
-    pending.next_hop = hop;
-    pending.retries_left = params_.max_retries;
-    pending_[key] = pending;
 
-    radio_.send(hop, pending_[key].envelope);
-    arm_retransmit(key);
+    radio_.send(hop, pending.envelope);
+    arm_retransmit(key, pending);
 }
 
-void ReliableTransport::arm_retransmit(std::uint64_t key) {
-    pending_[key].timer = sim_->schedule(params_.ack_timeout, [this, key] {
+void ReliableTransport::arm_retransmit(std::uint64_t key, PendingHop& pending) {
+    pending.timer = sim_->schedule(params_.ack_timeout, [this, key] {
         auto it = pending_.find(key);
         if (it == pending_.end()) return;  // acked meanwhile
         if (it->second.retries_left == 0) {
             ++gave_up_;
-            if (c_gave_up_) c_gave_up_->inc();
             pending_.erase(it);
             return;
         }
         --it->second.retries_left;
         ++retransmissions_;
-        if (c_retransmissions_) c_retransmissions_->inc();
         radio_.send(it->second.next_hop, it->second.envelope);
-        arm_retransmit(key);
+        arm_retransmit(key, it->second);
     });
 }
 
@@ -96,7 +77,6 @@ std::optional<Delivered> ReliableTransport::on_packet(const Packet& packet) {
     const std::uint64_t key = make_key(env->source, env->seq);
     if (!seen_.insert(key).second) {
         ++duplicates_;
-        if (c_duplicates_) c_duplicates_->inc();
         return std::nullopt;
     }
 
@@ -108,7 +88,6 @@ std::optional<Delivered> ReliableTransport::on_packet(const Packet& packet) {
     }
 
     ++forwarded_;
-    if (c_forwarded_) c_forwarded_->inc();
     transmit_hop(*env);
     return std::nullopt;
 }

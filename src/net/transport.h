@@ -27,11 +27,6 @@
 #include "net/routing.h"
 #include "sim/simulator.h"
 
-namespace tibfit::obs {
-class Counter;
-class Recorder;
-}  // namespace tibfit::obs
-
 namespace tibfit::net {
 
 /// Transport tunables.
@@ -69,7 +64,7 @@ class ReliableTransport {
     /// envelope, the report is returned for the owner to process.
     std::optional<Delivered> on_packet(const Packet& packet);
 
-    // Telemetry.
+    // Telemetry (exp::World publishes the sums over every shim in a run).
     std::size_t originated() const { return originated_; }
     std::size_t forwarded() const { return forwarded_; }
     std::size_t retransmissions() const { return retransmissions_; }
@@ -78,16 +73,10 @@ class ReliableTransport {
     /// Envelopes currently awaiting a hop ack.
     std::size_t in_flight() const { return pending_.size(); }
 
-    /// Mirrors the telemetry counters into `recorder` (nullptr detaches).
-    /// Many shims share one recorder; the named counters aggregate over
-    /// every relay in the run.
-    void set_recorder(obs::Recorder* recorder);
-
   private:
     /// Starts (or restarts) the reliable transmission of an envelope to
     /// the next hop toward its final destination.
     void transmit_hop(const RelayEnvelopePayload& envelope);
-    void arm_retransmit(std::uint64_t key);
     static std::uint64_t make_key(sim::ProcessId source, std::uint32_t seq) {
         return (static_cast<std::uint64_t>(source) << 32) | seq;
     }
@@ -98,6 +87,9 @@ class ReliableTransport {
         std::uint32_t retries_left;
         sim::Timer timer;
     };
+
+    /// Schedules the ack timeout of `pending`, the entry stored under `key`.
+    void arm_retransmit(std::uint64_t key, PendingHop& pending);
 
     sim::Simulator* sim_;
     Radio radio_;
@@ -111,11 +103,6 @@ class ReliableTransport {
     std::size_t retransmissions_ = 0;
     std::size_t gave_up_ = 0;
     std::size_t duplicates_ = 0;
-    obs::Counter* c_originated_ = nullptr;
-    obs::Counter* c_forwarded_ = nullptr;
-    obs::Counter* c_retransmissions_ = nullptr;
-    obs::Counter* c_gave_up_ = nullptr;
-    obs::Counter* c_duplicates_ = nullptr;
 };
 
 }  // namespace tibfit::net

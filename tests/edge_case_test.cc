@@ -67,6 +67,7 @@ class BsOrderingTest : public ::testing::Test {
 
     net::Packet alert(std::uint64_t seq, bool conclusion, sim::ProcessId shadow) {
         net::SchAlertPayload a;
+        a.ch = 10;  // disputes the CH decision_from_ch() sends as
         a.decision_seq = seq;
         a.event_declared = conclusion;
         net::Packet p;
@@ -117,6 +118,30 @@ TEST_F(BsOrderingTest, ChTrustAccruesAcrossVotes) {
     simulator_.run();
     EXPECT_EQ(bs_.overrides(), 3u);
     EXPECT_LT(bs_.ch_trust(10), 0.6);  // three demotions compound
+}
+
+TEST_F(BsOrderingTest, SameSeqFromTwoChsVotesSeparately) {
+    // decision_seq is per CH: two CHs' seq 0 are two votes. The alerts
+    // naming CH 10 arrive while only CH 20's seq 0 is pending, so a match
+    // by seq alone would pin them on CH 20.
+    net::Packet from_20 = decision_from_ch(0, false);
+    from_20.src = 20;
+    bs_.handle_packet(from_20);
+    bs_.handle_packet(alert(0, true, 11));
+    bs_.handle_packet(alert(0, true, 12));
+    bs_.handle_packet(decision_from_ch(0, false));
+    simulator_.run();
+    ASSERT_EQ(bs_.final_decisions().size(), 2u);
+    EXPECT_EQ(bs_.overrides(), 1u);
+    std::size_t overridden = 0;
+    for (const auto& f : bs_.final_decisions()) {
+        EXPECT_EQ(f.seq, 0u);
+        EXPECT_EQ(f.event_declared, f.overridden);  // only the override declares
+        overridden += f.overridden ? 1 : 0;
+    }
+    EXPECT_EQ(overridden, 1u);
+    EXPECT_LT(bs_.ch_trust(10), 1.0);   // outvoted: demoted
+    EXPECT_EQ(bs_.ch_trust(20), 1.0);   // upheld: stays at full trust
 }
 
 // ---------- Binary false-alarm coincidence knob ----------
