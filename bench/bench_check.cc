@@ -37,9 +37,9 @@ double run_ms(const std::function<void()>& body) {
     return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-CheckedRun run_checked(exp::Scenario scenario) {
+CheckedRun run_checked(const exp::BenchIo& io, exp::Scenario scenario) {
     CheckedRun out;
-    scenario.check.mode = check::Mode::Off;
+    io.set(scenario, "check.mode=off");
     std::size_t checked = 0, divergences = 0;
     const auto run = [&scenario, &checked, &divergences] {
         if (scenario.kind == exp::Scenario::Kind::Binary) {
@@ -54,7 +54,7 @@ CheckedRun run_checked(exp::Scenario scenario) {
     };
     out.off_ms = run_ms(run);
     const std::uint64_t violations_before = util::invariant_violations();
-    scenario.check.mode = check::Mode::Shadow;
+    io.set(scenario, "check.mode=shadow");
     out.shadow_ms = run_ms(run);
     out.checked = checked;
     out.divergences = divergences;
@@ -66,29 +66,26 @@ CheckedRun run_checked(exp::Scenario scenario) {
 
 int main(int argc, char** argv) {
     exp::BenchIo io("bench_check", argc, argv);
-    io.describe("Self-check gate: differential oracle + invariants on fig2/fig4 smokes");
+    io.describe("Self-check gate: differential oracle + invariants on fig2/fig4 smokes "
+                "(a Scenario key=value sets both)");
+    const long binary_events = io.option("binary_events", 200, "binary events per run");
+    const long location_events = io.option("location_events", 100, "location events per run");
 
     exp::Scenario binary = exp::Scenario::binary_defaults();
-    binary.binary.events =
-        static_cast<std::size_t>(io.option("binary_events", 200, "binary events per run"));
-    binary.binary.pct_faulty = io.option("pct_faulty", 0.5, "compromised fraction");
+    binary.binary.events = static_cast<std::size_t>(binary_events);
+    binary.binary.pct_faulty = 0.5;
     binary.faults.natural_error_rate = 0.01;
     binary.faults.missed_alarm_rate = 0.5;
     binary.channel.drop_probability = 0.0;
+    binary.seed = 20050628;
+    binary = io.scenario(binary);
 
     exp::Scenario location = exp::Scenario::location_defaults();
     location.location.fault_level = sensor::NodeClass::Level0;
-    location.location.events =
-        static_cast<std::size_t>(io.option("location_events", 100, "location events per run"));
-    location.location.pct_faulty = binary.binary.pct_faulty;
-
-    const auto seed = static_cast<std::uint64_t>(io.option("seed", 20050628, "base seed"));
-    binary.seed = seed;
-    location.seed = seed;
-    if (io.help_requested()) {
-        io.print_help();
-        return 0;
-    }
+    location.location.events = static_cast<std::size_t>(location_events);
+    location.location.pct_faulty = 0.5;
+    location.seed = 20050628;
+    location = io.scenario(location);
 
     for (const exp::Scenario* s : {&binary, &location}) io.require_valid({s, 1});
 
@@ -106,7 +103,7 @@ int main(int argc, char** argv) {
     std::uint64_t total_violations = 0;
     std::size_t total_checked = 0;
     for (const auto& w : workloads) {
-        const CheckedRun r = run_checked(w.scenario);
+        const CheckedRun r = run_checked(io, w.scenario);
         total_checked += r.checked;
         total_divergences += r.divergences;
         total_violations += r.violations;
@@ -125,7 +122,7 @@ int main(int argc, char** argv) {
     // check.decisions_checked / check.divergences counters land in the JSON
     // for CI to gate on.
     exp::Scenario rep = binary;
-    rep.check.mode = check::Mode::Shadow;
+    io.set(rep, "check.mode=shadow");
     const int rc = io.finish(rep);
     if (rc != 0) return rc;
     if (total_divergences > 0 || total_violations > 0) {

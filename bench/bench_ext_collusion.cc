@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
     base.faults.faulty_sigma = 4.25;
     base.location.events = 200;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     // The arms race in the third column: adaptive colluders jitter their
     // echoes past the detector's epsilon, restoring (most of) the attack.

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
     exp::Scenario base = exp::Scenario::location_defaults();
     base.location.events = 200;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.faulty_table("Extension: LEACH self-organized heads vs dedicated CH entities (level 0)",
                     base, {0.10, 0.30, 0.50},

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
     base.location.fault_level = sensor::NodeClass::Level0;
     base.location.events = 200;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.faulty_table("Extension: stationary vs mobile network (level 0, TIBFIT)", base,
                     {0.10, 0.30, 0.50},

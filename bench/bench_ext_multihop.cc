@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
     base.location.fault_level = sensor::NodeClass::Level0;
     base.location.events = 200;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.faulty_table("Extension: single-hop vs multi-hop report collection (level 0, TIBFIT)", base,
                     {0.10, 0.30, 0.50, 0.58},

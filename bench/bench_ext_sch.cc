@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
     base.faults.missed_alarm_rate = 0.5;
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.faulty_table("Extension: corrupt cluster head masked by shadow CHs + base station vote",
                     base, {0.40, 0.60, 0.80},

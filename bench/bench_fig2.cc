@@ -13,18 +13,15 @@ int main(int argc, char** argv) {
     io.describe("Figure 2: binary-model accuracy vs % faulty, missed alarms only");
 
     exp::Scenario base = exp::Scenario::binary_defaults();
-    base.binary.n_nodes = static_cast<std::size_t>(io.option("n_nodes", 10, "cluster size"));
-    base.binary.events = static_cast<std::size_t>(io.option("events", 100, "real events per run"));
-    base.engine.trust.lambda = io.option("lambda", 0.1, "trust decay constant");
+    base.binary.n_nodes = 10;
+    base.binary.events = 100;
+    base.engine.trust.lambda = 0.1;
     base.faults.missed_alarm_rate = 0.5;
     base.faults.false_alarm_rate = 0.0;
     // Exp 1 isolates protocol behaviour from channel loss.
     base.channel.drop_probability = 0.0;
-    base.seed = static_cast<std::uint64_t>(io.option("seed", 20050628, "base seed"));  // DSN 2005
-    if (io.help_requested()) {
-        io.print_help();
-        return 0;
-    }
+    base.seed = 20050628;  // DSN 2005
+    base = io.scenario(base);
 
     io.faulty_table("Figure 2: binary model accuracy vs % faulty (missed alarms only)", base,
                     {0.40, 0.50, 0.60, 0.70, 0.80, 0.90},
@@ -34,6 +31,6 @@ int main(int argc, char** argv) {
                      {"NER 1% Baseline", {"natural_error_rate=0.01", "policy=majority_vote"}}},
                     io.trial_runs(30));
     io.param("correct_ner", 0.01);
-    base.faults.natural_error_rate = 0.01;
+    io.set(base, "natural_error_rate=0.01");
     return io.finish(base, {"pct_faulty=0.5"});
 }

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
     base.faults.missed_alarm_rate = 0.5;
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.faulty_table("Figure 3: binary model accuracy vs % faulty (missed + false alarms, NER 1%)",
                     base, {0.40, 0.50, 0.60, 0.70, 0.80, 0.90},

@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
     base.location.fault_level = sensor::NodeClass::Level2;
     base.location.events = 200;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.faulty_table(
         "Figure 6: location model accuracy vs % faulty (level 2, colluding)", base,

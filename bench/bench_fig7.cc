@@ -16,6 +16,7 @@ int main(int argc, char** argv) {
     base.engine.policy = core::DecisionPolicy::TrustIndex;
     base.location.events = 200;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.faulty_table("Figure 7: single vs concurrent events (level 0, TIBFIT)", base,
                     {0.10, 0.20, 0.30, 0.40, 0.50, 0.58},

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
     base.location.epoch_events = 50;
     base.faults.faulty_sigma = 4.25;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.decay_table("Figure 8: network decay, accuracy per 50-event epoch (faulty sigma 4.25)", base,
                    {{"1.6-4.25 TIBFIT", {"correct_sigma=1.6", "policy=trust_index"}},

@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
     base.location.epoch_events = 50;
     base.faults.faulty_sigma = 6.0;
     base.seed = 20050628;
+    base = io.scenario(base);
 
     io.decay_table("Figure 9: network decay, accuracy per 50-event epoch (faulty sigma 6.0)", base,
                    {{"1.6-6 TIBFIT", {"correct_sigma=1.6", "policy=trust_index"}},

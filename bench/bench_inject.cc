@@ -18,7 +18,6 @@
 // With campaign=FILE, additionally replays a JSON inject::CampaignSpec
 // (ci/campaign_smoke.json is the canned one the CI smoke job uses) through
 // one instrumented run and emits its decision counters.
-#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -81,103 +80,101 @@ int main(int argc, char** argv) {
         "Fault-injection campaigns: accuracy vs injected loss (plain vs reliable "
         "transport) and accuracy across a CH failover (warm vs cold trust handoff)");
 
-    const auto events = static_cast<std::size_t>(io.option("events", 100, "real events per run"));
-    const auto seed = static_cast<std::uint64_t>(io.option("seed", 20050628, "base seed"));
-    const double false_alarm_rate =
-        io.option("false_alarm_rate", 0.35, "liar false-alarm rate (Table B)");
     const double degrade =
         io.option("degrade", 0.45, "extra channel drop during the failover window (Table B)");
     const bool smoke = io.option("smoke", false, "CI smoke mode: tiny grids, few runs");
     const std::string campaign_path =
         io.option("campaign", "", "replay a JSON inject::CampaignSpec file");
-    if (io.help_requested()) {
-        io.print_help();
-        return 0;
-    }
-    const std::size_t runs = io.trial_runs(smoke ? 3 : 25);
 
     exp::Scenario base = exp::Scenario::binary_defaults();
-    base.binary.events = events;
-    base.seed = seed;
+    base.binary.events = 100;
+    base.seed = 20050628;
+    base = io.scenario(base);
+    const std::size_t runs = io.trial_runs(smoke ? 3 : 25);
     exp::Scenario fb = base;  // Table B's and the replay's base
-    fb.faults.false_alarm_rate = false_alarm_rate;
+    io.set(fb, "false_alarm_rate=0.35");
 
-    // A campaign file is read and validated before any sweep runs.
-    exp::Scenario replay = fb;
-    replay.binary.pct_faulty = 0.4;
-    replay.binary.reliable_reports = true;
-    if (!campaign_path.empty()) {
+    // Every scenario is laid out and validated before any sweep runs, so
+    // a knob that clashes with one of them, or leaves one invalid, exits.
+    const std::vector<double> losses =
+        smoke ? std::vector<double>{0.0, 0.4} : std::vector<double>{0.0, 0.2, 0.4, 0.6, 0.8};
+    std::vector<exp::Scenario> loss_cells;
+    for (double loss : losses) {
+        exp::Scenario s = base;
+        s.campaign = loss_campaign(loss);
+        for (const char* transport : {"reliable_reports=false", "reliable_reports=true"}) {
+            io.set(s, transport);
+            loss_cells.push_back(s);
+        }
+    }
+
+    // Table B kills the CH halfway through, after trust has been learned;
+    // liars raise coordinated false alarms, so the successor's trust table
+    // is what separates declared events from phantoms.
+    const double kill_at =
+        0.5 * static_cast<double>(base.binary.events) * base.binary.event_interval;
+    const std::vector<double> pcts =
+        smoke ? std::vector<double>{0.4} : std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+    std::vector<exp::Scenario> failover_cells;
+    for (double p : pcts) {
+        exp::Scenario s = fb;
+        io.set(s, "pct_faulty=" + obs::fields::render(p));
+        failover_cells.push_back(s);  // no campaign
+        for (bool warm : {true, false}) {
+            exp::Scenario f = s;
+            f.campaign = failover_campaign(kill_at, warm, degrade);
+            failover_cells.push_back(f);
+        }
+    }
+
+    // The replay (a campaign file is read here) and the representative
+    // instrumented run: the warm-handoff failover arm, or the replayed
+    // campaign when one was given, so the artifact's registry carries the
+    // inject.* counters the CI golden gates on.
+    const bool have_replay = !campaign_path.empty();
+    exp::Scenario rep = fb;
+    io.set(rep, "pct_faulty=0.4");
+    if (!have_replay) {
+        rep.campaign = failover_campaign(kill_at, true, degrade);
+    } else {
+        io.set(rep, "reliable_reports=true");
         try {
             std::ifstream in(campaign_path);
             if (!in) throw std::runtime_error("cannot open file");
             std::ostringstream text;
             text << in.rdbuf();
-            obs::fields::read_value(obs::json::parse(text.str()), replay.campaign, "", "campaign");
+            obs::fields::read_value(obs::json::parse(text.str()), rep.campaign, "", "campaign");
         } catch (const std::runtime_error& e) {
             std::cerr << "bench_inject: " << campaign_path << ": " << e.what() << '\n';
             return 2;
         }
-        io.require_valid({&replay, 1});
+        io.require_valid({&rep, 1});
     }
+    io.require_valid(loss_cells);
+    io.require_valid(failover_cells);
 
-    // ---- Table A: accuracy vs injected extra loss ----
-    const std::vector<double> losses =
-        smoke ? std::vector<double>{0.0, 0.4} : std::vector<double>{0.0, 0.2, 0.4, 0.6, 0.8};
-    std::vector<exp::Scenario> cells;
-    for (double loss : losses) {
-        exp::Scenario s = base;
-        s.campaign = loss_campaign(loss);
-        for (bool reliable : {false, true}) {
-            s.binary.reliable_reports = reliable;
-            cells.push_back(s);
+    // Both tables are row-major: one row per x, labelled `scale * x`.
+    const auto emit_table = [&](util::Table t, const std::vector<double>& xs, double scale,
+                                const std::vector<exp::Scenario>& cells) {
+        const std::vector<double> acc = exp::mean_accuracies(cells, runs);
+        const std::size_t width = acc.size() / xs.size();
+        for (std::size_t r = 0; r < xs.size(); ++r) {
+            std::vector<double> row{scale * xs[r]};
+            row.insert(row.end(), acc.begin() + r * width, acc.begin() + (r + 1) * width);
+            t.row_values(row, 3);
         }
-    }
-    io.require_valid(cells);
-    const std::vector<double> loss_acc = exp::mean_accuracies(cells, runs);
+        io.emit(t);
+    };
     util::Table a("Injected channel loss: plain vs reliable report transport");
     a.header({"extra loss", "plain", "reliable"});
-    auto cell = loss_acc.begin();
-    for (double loss : losses) {
-        std::vector<double> row{loss};
-        for (int c = 0; c < 2; ++c) row.push_back(*cell++);
-        a.row_values(row, 3);
-    }
-    io.emit(a);
-
-    // ---- Table B: accuracy across a CH failover ----
-    // Kill the CH halfway through, after trust has been learned; liars
-    // raise coordinated false alarms, so the successor's trust table is
-    // what separates declared events from phantoms.
-    const double kill_at = 0.5 * static_cast<double>(events) * base.binary.event_interval;
-    const std::vector<double> pcts =
-        smoke ? std::vector<double>{0.4} : std::vector<double>{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
-    cells.clear();
-    for (double p : pcts) {
-        exp::Scenario s = fb;
-        s.binary.pct_faulty = p;
-        cells.push_back(s);  // no campaign
-        for (bool warm : {true, false}) {
-            exp::Scenario f = s;
-            f.campaign = failover_campaign(kill_at, warm, degrade);
-            cells.push_back(f);
-        }
-    }
-    io.require_valid(cells);
-    const std::vector<double> failover_acc = exp::mean_accuracies(cells, runs);
+    emit_table(a, losses, 1.0, loss_cells);
     util::Table b("CH failover + degraded channel: warm (checkpointed trust) vs cold handoff");
     b.header({"% faulty", "no failover", "warm handoff", "cold handoff"});
-    cell = failover_acc.begin();
-    for (double p : pcts) {
-        std::vector<double> row{100.0 * p};
-        for (int c = 0; c < 3; ++c) row.push_back(*cell++);
-        b.row_values(row, 3);
-    }
-    io.emit(b);
+    emit_table(b, pcts, 100.0, failover_cells);
 
     // ---- Optional: replay a canned campaign spec from JSON ----
-    const bool have_replay = !campaign_path.empty();
     if (have_replay) {
-        exp::BinaryResult r = exp::run_binary_experiment(replay);
+        exp::BinaryResult r = exp::run_binary_experiment(rep);
         util::Table c("Campaign replay: " + campaign_path);
         c.header({"accuracy", "detected", "fa windows", "phantoms"});
         c.row_values({r.accuracy, static_cast<double>(r.detected),
@@ -187,14 +184,6 @@ int main(int argc, char** argv) {
         io.emit(c);
     }
 
-    io.param("events", events).param("pct_faulty", 0.4);
-    // Representative instrumented run: the warm-handoff failover arm (or
-    // the replayed campaign when one was given), so the artifact's registry
-    // carries the inject.* counters the CI golden gates on.
-    exp::Scenario rep = have_replay ? replay : fb;
-    if (!have_replay) {
-        rep.binary.pct_faulty = 0.4;
-        rep.campaign = failover_campaign(kill_at, true, degrade);
-    }
+    io.param("events", base.binary.events).param("pct_faulty", 0.4);
     return io.finish(rep);
 }

@@ -53,13 +53,17 @@ constexpr std::pair<std::string_view, std::string_view> kRenames[] = {
     {"policy=baseline", "policy=majority_vote"},
 };
 
-void apply_jobs(std::string_view value) {
-    if (const auto n = par::parse_jobs(value)) {
-        par::set_jobs(*n);
-        return;
+/// Sets the width from a `--jobs` value; false (after saying why) when it
+/// is not a positive count.
+bool apply_jobs(std::string_view value) {
+    const auto n = par::parse_jobs(value);
+    if (!n) {
+        std::fprintf(stderr, "tibfit_cli: invalid value '%.*s' for --jobs\n",
+                     static_cast<int>(value.size()), value.data());
+        return false;
     }
-    std::fprintf(stderr, "tibfit_cli: ignoring invalid --jobs value '%.*s'\n",
-                 static_cast<int>(value.size()), value.data());
+    par::set_jobs(*n);
+    return true;
 }
 
 /// Applies one `key=value` token through the legacy renames; returns the
@@ -139,9 +143,9 @@ int main(int argc, char** argv) {
         } else if (a.rfind("--trace=", 0) == 0) {
             trace_path = a.substr(std::string_view("--trace=").size());
         } else if (a == "--jobs" && i + 1 < argc) {
-            apply_jobs(argv[++i]);
+            if (!apply_jobs(argv[++i])) return 2;
         } else if (a.rfind("--jobs=", 0) == 0) {
-            apply_jobs(a.substr(std::string_view("--jobs=").size()));
+            if (!apply_jobs(a.substr(std::string_view("--jobs=").size()))) return 2;
         } else if (a == "--metrics" || a == "--trace" || a == "--jobs") {
             std::fprintf(stderr, "%s requires an argument\n", argv[i]);
             return 2;

@@ -13,8 +13,6 @@
 #include <utility>
 
 #include "exp/binary_experiment.h"
-#include "exp/location_experiment.h"
-#include "exp/sweep.h"
 #include "obs/artifact.h"
 #include "obs/fields.h"
 #include "obs/recorder.h"
@@ -46,11 +44,9 @@ std::pair<std::string_view, std::string_view> split_token(std::string_view token
 }
 
 void apply_jobs(std::string_view value, const std::string& bench) {
-    if (const auto n = par::parse_jobs(value)) {
-        par::set_jobs(*n);
-        return;
-    }
-    std::cerr << bench << ": ignoring invalid --jobs value '" << value << "'\n";
+    const auto n = par::parse_jobs(value);
+    if (!n) reject(bench, "invalid value '" + std::string(value) + "' for --jobs");
+    par::set_jobs(*n);
 }
 
 }  // namespace
@@ -102,12 +98,43 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
             if (json_path_.empty()) reject(name_, "--json requires an argument");
         } else if (const auto eq = arg.find('='); eq != arg.npos && eq != 0) {
             params_[std::string(arg.substr(0, eq))] = arg.substr(eq + 1);
-            cli_keys_.emplace_back(arg.substr(0, eq));
+            cli_tokens_.emplace_back(arg);
         }
     }
 }
 
+Scenario BenchIo::scenario(Scenario base) {
+    serve_help(&base);
+    knobs_applied_ = true;
+    for (const std::string& token : cli_tokens_) {
+        const std::string_view key = split_token(token).first;
+        if (key == "runs" || declared(key)) continue;
+        user_fields_.push_back({apply(base, token), token});
+    }
+    return base;
+}
+
+void BenchIo::set(Scenario& s, std::string_view token) const {
+    refuse_clash(apply(s, token), (std::string("'") += token) += '\'');
+}
+
+std::string_view BenchIo::apply(Scenario& s, std::string_view token) const {
+    const auto [key, value] = split_token(token);
+    try {
+        return apply_override(s, key, value);
+    } catch (const std::invalid_argument& e) {
+        reject(name_, "'" + std::string(token) + "': " + e.what());
+    }
+}
+
+void BenchIo::refuse_clash(std::string_view path, const std::string& what) const {
+    for (const UserField& f : user_fields_) {
+        if (f.path == path) reject(name_, "'" + f.token + "' conflicts with " + what);
+    }
+}
+
 std::size_t BenchIo::trial_runs(std::size_t dflt) const {
+    serve_help(nullptr);
     const auto it = params_.find("runs");
     if (it != params_.end() && (!obs::fields::parse_text(it->second, dflt) || dflt == 0)) {
         reject_value(name_, "runs", it->second, "a positive integer");
@@ -122,7 +149,7 @@ void BenchIo::declare(const std::string& key, std::string dflt, const std::strin
     options_.push_back({key, std::move(dflt), help});
 }
 
-bool BenchIo::declared(const std::string& key) const {
+bool BenchIo::declared(std::string_view key) const {
     return std::any_of(options_.begin(), options_.end(),
                        [&](const DeclaredOption& o) { return o.key == key; });
 }
@@ -174,82 +201,29 @@ void BenchIo::print_help(std::ostream& out) const {
 
 void BenchIo::print_help() const { print_help(std::cout); }
 
+void BenchIo::serve_help(const Scenario* base) const {
+    if (!help_) return;
+    print_help(std::cout);
+    if (base != nullptr) {
+        std::cout << "\nscenario keys (path=default; the leaf name alone also works):\n";
+        for (const std::string& token : override_tokens(*base)) std::cout << "  " << token << '\n';
+    }
+    std::cout.flush();
+    std::exit(0);
+}
+
 void BenchIo::warn_undeclared() const {
-    for (const auto& key : cli_keys_) {
+    if (knobs_applied_) return;
+    for (const auto& token : cli_tokens_) {
+        const std::string_view key = split_token(token).first;
         if (key == "runs" || declared(key)) continue;
         std::cerr << name_ << ": warning: unrecognised parameter '" << key
                   << "=' (see --help)\n";
     }
 }
 
-void BenchIo::apply_token(Scenario& s, std::string_view token) const {
-    const auto [key, value] = split_token(token);
-    try {
-        apply_override(s, key, value);
-    } catch (const std::invalid_argument& e) {
-        reject(name_, "'" + std::string(token) + "': " + e.what());
-    }
-}
-
-std::vector<Scenario> BenchIo::apply_series(const Scenario& base,
-                                            const std::vector<Series>& series) const {
-    std::vector<Scenario> out(series.size(), base);
-    for (std::size_t k = 0; k < series.size(); ++k) {
-        for (const std::string& token : series[k].tokens) apply_token(out[k], token);
-    }
-    return out;
-}
-
-void BenchIo::faulty_table(const std::string& title, const Scenario& base,
-                           const std::vector<double>& rows, const std::vector<Series>& series,
-                           std::size_t runs, const std::string& row_header) {
-    const std::vector<Scenario> columns = apply_series(base, series);
-    std::vector<Scenario> cells;
-    cells.reserve(rows.size() * columns.size());
-    for (const double p : rows) {
-        for (const Scenario& column : columns) {
-            Scenario& cell = cells.emplace_back(column);
-            (cell.kind == Scenario::Kind::Binary ? cell.binary.pct_faulty
-                                                 : cell.location.pct_faulty) = p;
-        }
-    }
-    require_valid(cells);
-    const std::vector<double> acc = mean_accuracies(cells, runs);
-
-    std::vector<std::string> header{row_header};
-    for (const Series& s : series) header.push_back(s.name);
-    util::Table t(title);
-    t.header(std::move(header));
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        std::vector<double> row{100.0 * rows[r]};
-        for (std::size_t c = 0; c < series.size(); ++c) row.push_back(acc[r * series.size() + c]);
-        t.row_values(row, 3);
-    }
-    emit(t);
-}
-
-void BenchIo::decay_table(const std::string& title, const Scenario& base,
-                          const std::vector<Series>& series, std::size_t runs) {
-    const std::vector<Scenario> cells = apply_series(base, series);
-    require_valid(cells);
-    const std::vector<std::vector<double>> acc = mean_epoch_accuracies(cells, runs);
-
-    std::vector<std::string> header{"events", "% faulty"};
-    for (const Series& s : series) header.push_back(s.name);
-    util::Table t(title);
-    t.header(std::move(header));
-    const LocationWorkload& wl = base.location;
-    const std::size_t epochs = acc.empty() ? 0 : acc.front().size();
-    for (std::size_t e = 0; e < epochs; ++e) {
-        const double pct = wl.decay_initial + wl.decay_step * static_cast<double>(e);
-        std::vector<double> row{static_cast<double>((e + 1) * wl.decay_epoch_events), 100.0 * pct};
-        for (const auto& c : acc) row.push_back(e < c.size() ? c[e] : 0.0);
-        t.row_values(row, 3);
-    }
-    emit(t);
-}
-
 void BenchIo::emit(const util::Table& t) {
+    serve_help(nullptr);
     if (csv_) {
         t.print_csv(std::cout);
     } else {
@@ -290,22 +264,6 @@ int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
         return 1;
     }
     return 0;
-}
-
-int BenchIo::finish(Scenario base, std::initializer_list<std::string_view> tokens) {
-    for (const std::string_view token : tokens) {
-        apply_token(base, token);
-        const auto [key, value] = split_token(token);
-        params_[std::string(key)] = value;
-    }
-    return finish([&](obs::Recorder& rec) {
-        base.recorder = &rec;
-        if (base.kind == Scenario::Kind::Binary) {
-            run_binary_experiment(base);
-        } else {
-            run_location_experiment(base);
-        }
-    });
 }
 
 void instrument_default_run(obs::Recorder& rec) {

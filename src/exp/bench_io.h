@@ -8,10 +8,15 @@
 // echoed parameters, build metadata, and the full metrics registry of one
 // representative instrumented run (the bench supplies it via finish()).
 //
+// A bench states its workload as a base Scenario and passes it through
+// scenario(), which applies the user's `key=value` knobs to it; every
+// later write BenchIo makes to a Scenario refuses a field the user set.
+//
 // The paper's evaluation figures are grids: a compromised fraction per
 // row, one protocol configuration (a Series) per curve. faulty_table()
 // and decay_table() build, validate, run and emit such a grid in one
-// call; finish(base, tokens) names the representative run the same way.
+// call; finish(base, tokens) names the representative run the same way
+// (all three in bench_grid.cc).
 #pragma once
 
 #include <functional>
@@ -45,9 +50,24 @@ class BenchIo {
     /// Parses `--json <path>` / `--json=<path>` and `--jobs N` /
     /// `--jobs=N` out of argv (the latter sets the process-wide
     /// par::set_jobs; it is excluded from the artifact's argv echo because
-    /// outputs are thread-count-invariant) and echoes any key=value tokens
-    /// into the artifact's params, as typed.
+    /// outputs are thread-count-invariant; an N par::parse_jobs() rejects
+    /// exits 2) and echoes any key=value tokens into the artifact's
+    /// params, as typed.
     BenchIo(std::string name, int argc, char** argv);
+
+    /// `base` with every user `key=value` applied in argv order through
+    /// exp::apply_override, except `runs` and the keys declared with
+    /// option(). A token it rejects exits 2 as `<bench>: '<token>': <why>`.
+    /// Remembers the field each token set: a later set(), series token,
+    /// faulty_table() row or finish() token that writes one of them exits
+    /// 2 naming both. A bench with two workloads calls it once for each;
+    /// every knob then applies to both.
+    Scenario scenario(Scenario base);
+
+    /// Applies one of the bench's own `key=value` tokens to `s`, as a
+    /// series token is: exits 2 when apply_override() rejects it or when
+    /// the user set the same field through scenario().
+    void set(Scenario& s, std::string_view token) const;
 
     /// The replication count for this bench's sweeps: the `runs=<n>`
     /// command-line override when given (echoed into the artifact like any
@@ -83,9 +103,11 @@ class BenchIo {
         return option(key, std::string(dflt), help);
     }
 
-    /// True when --help / -h was passed. Benches should declare their
-    /// options first, then `if (io.help_requested()) { io.print_help();
-    /// return 0; }`.
+    /// True when --help / -h was passed. BenchIo serves it itself at the
+    /// first scenario(), trial_runs() or emit() call (print_help(), plus
+    /// the base's settable keys after scenario(), then exit 0), so a bench
+    /// declares its options before those. Only a bench that does timed
+    /// work before any of them asks here.
     bool help_requested() const { return help_; }
 
     /// Uniform usage text: description, the declared key=value options,
@@ -145,9 +167,9 @@ class BenchIo {
     /// the metrics. Returns the process exit code.
     int finish(const std::function<void(obs::Recorder&)>& instrument = {});
     /// Same, with the representative experiment given as `base` plus
-    /// `tokens` (applied as a series' are, and each echoed into the
-    /// artifact's params as typed): it runs (binary or location by kind)
-    /// with the Recorder attached.
+    /// `tokens` (applied by set(), and each echoed into the artifact's
+    /// params as typed): it runs (binary or location by kind) with the
+    /// Recorder attached.
     int finish(Scenario base, std::initializer_list<std::string_view> tokens = {});
 
   private:
@@ -157,15 +179,24 @@ class BenchIo {
         std::string help;
     };
 
+    /// A field a user token set through scenario().
+    struct UserField {
+        std::string_view path;  ///< apply_override()'s static path
+        std::string token;      ///< as typed
+    };
+
     void declare(const std::string& key, std::string dflt, const std::string& help);
-    bool declared(const std::string& key) const;
+    bool declared(std::string_view key) const;
     void warn_undeclared() const;
-    /// Applies one series or representative `key=value` token to `s`;
-    /// exits 2 naming the token when apply_override() rejects it.
-    void apply_token(Scenario& s, std::string_view token) const;
-    /// One scenario per series: `base` with that series' tokens applied.
-    std::vector<Scenario> apply_series(const Scenario& base,
-                                       const std::vector<Series>& series) const;
+    /// With --help: prints the usage (and `base`'s settable keys, when
+    /// given) and exits 0.
+    void serve_help(const Scenario* base) const;
+    /// Applies `token` to `s`; exits 2 naming it when apply_override()
+    /// rejects it. Returns the path it set.
+    std::string_view apply(Scenario& s, std::string_view token) const;
+    /// Exits 2 when a user token set the field at `path`: `<bench>:
+    /// '<user token>' conflicts with <what>`.
+    void refuse_clash(std::string_view path, const std::string& what) const;
     /// The user's value for `key` parsed as T, else `dflt`; exits 2 when
     /// the value does not parse.
     template <class T>
@@ -179,7 +210,9 @@ class BenchIo {
     bool help_ = false;
     std::string json_path_;
     std::map<std::string, std::string> params_;  ///< key-sorted artifact echo
-    std::vector<std::string> cli_keys_;  ///< keys the user actually passed
+    std::vector<std::string> cli_tokens_;  ///< the user's key=value tokens, in argv order
+    std::vector<UserField> user_fields_;
+    bool knobs_applied_ = false;  ///< scenario() ran: no knob is left unread
     std::vector<DeclaredOption> options_;
     std::vector<util::Table> tables_;
 };

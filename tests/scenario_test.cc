@@ -659,6 +659,20 @@ TEST(BenchIoDeathTest, WrongTypedKnobsExitTwo) {
     EXPECT_EXIT(run("runs=0", [](BenchIo& io) { io.trial_runs(5); }),
                 ::testing::ExitedWithCode(2),
                 "invalid value '0' for runs= \\(expects a positive integer\\)");
+    // A Scenario knob goes through apply_override and exits naming the token.
+    const auto knobs = [](BenchIo& io) { io.scenario(Scenario::location_defaults()); };
+    EXPECT_EXIT(run("events=abc", knobs), ::testing::ExitedWithCode(2),
+                "bench_fig4: 'events=abc': scenario: location.events expects an integer");
+    EXPECT_EXIT(run("evnets=5", knobs), ::testing::ExitedWithCode(2),
+                "bench_fig4: 'evnets=5': scenario: unknown key 'evnets' for a location scenario");
+    EXPECT_EXIT(run("use_shadows=true", knobs), ::testing::ExitedWithCode(2),
+                "unknown key 'use_shadows' for a location scenario");
+    EXPECT_EXIT(run("kind=binary", knobs), ::testing::ExitedWithCode(2),
+                "'kind=binary': scenario: 'kind' cannot be set by key=value");
+    EXPECT_EXIT(run("campaign=c.json", knobs), ::testing::ExitedWithCode(2),
+                "'campaign' cannot be set by key=value");
+    EXPECT_EXIT(run("faults.faulty_sigma=-", knobs), ::testing::ExitedWithCode(2),
+                "'faults.faulty_sigma=-': scenario: faults.faulty_sigma expects");
 }
 
 // A flag missing its argument exits 2 naming the flag, instead of being
@@ -734,29 +748,119 @@ TEST(BenchIo, FaultyTableMatchesHandLaidTable) {
     EXPECT_EQ(emitted, want.str());
 }
 
-// finish(base, tokens) echoes each token into the artifact as typed, not
-// re-rendered from the field it set.
-TEST(BenchIo, FinishEchoesTokensAsTyped) {
-    const std::string path = ::testing::TempDir() + "bench_io_finish_echo.json";
-    std::string name = "bench_grid", flag = "--json", where = path, knob = "pct_faulty=0.9";
-    char* argv[] = {name.data(), flag.data(), where.data(), knob.data()};
-    BenchIo io("bench_grid", 4, argv);
-    ASSERT_EQ(
-        io.finish(tiny_binary(), {"pct_faulty=0.50", "correct_sigma=2.0", "policy=majority_vote"}),
-        0);
+/// The artifact's params object, read back from `path` (then removed).
+std::map<std::string, std::string> artifact_params(const std::string& path) {
     std::ifstream in(path);
     const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     std::remove(path.c_str());
     const obs::json::Value doc = obs::json::parse(text);
     const obs::json::Value* params = doc.find("params");
-    ASSERT_NE(params, nullptr);
-    const std::map<std::string, std::string> want = {
-        {"pct_faulty", "0.50"}, {"correct_sigma", "2.0"}, {"policy", "majority_vote"}};
-    for (const auto& [key, value] : want) {
-        const obs::json::Value* v = params->find(key);
-        ASSERT_NE(v, nullptr) << key;
-        EXPECT_EQ(v->as_string(), value) << key;
-    }
+    std::map<std::string, std::string> out;
+    if (params == nullptr) return out;
+    for (const auto& [key, value] : params->as_object()) out[key] = value.as_string();
+    return out;
+}
+
+// finish(base, tokens) echoes each token into the artifact as typed, not
+// re-rendered from the field it set, beside the user's own knobs.
+TEST(BenchIo, FinishEchoesTokensAsTyped) {
+    const std::string path = ::testing::TempDir() + "bench_io_finish_echo.json";
+    std::string name = "bench_grid", flag = "--json", where = path, knob = "seed=09";
+    char* argv[] = {name.data(), flag.data(), where.data(), knob.data()};
+    BenchIo io("bench_grid", 4, argv);
+    const Scenario base = io.scenario(tiny_binary());
+    EXPECT_EQ(base.seed, 9u);
+    ASSERT_EQ(io.finish(base, {"pct_faulty=0.50", "correct_sigma=2.0", "policy=majority_vote"}),
+              0);
+    const std::map<std::string, std::string> want = {{"pct_faulty", "0.50"},
+                                                     {"correct_sigma", "2.0"},
+                                                     {"policy", "majority_vote"},
+                                                     {"seed", "09"}};
+    EXPECT_EQ(artifact_params(path), want);
+}
+
+// A user knob reaches every cell of a grid: the emitted table equals one
+// laid by hand with that value, and the artifact echoes the knob as typed.
+TEST(BenchIo, UserKnobReachesEveryCell) {
+    const std::string path = ::testing::TempDir() + "bench_io_knob_cells.json";
+    std::string name = "bench_grid", csv = "--csv", flag = "--json", where = path,
+                knob = "lambda=0.30";
+    char* argv[] = {name.data(), csv.data(), flag.data(), where.data(), knob.data()};
+    BenchIo io("bench_grid", 5, argv);
+    const Scenario base = io.scenario(tiny_binary());
+    const std::vector<Series> series = {{"TIBFIT", {"missed_alarm_rate=0.9"}},
+                                        {"NER 5%", {"missed_alarm_rate=0.9",
+                                                    "natural_error_rate=0.05"}}};
+    ::testing::internal::CaptureStdout();
+    io.faulty_table("Grid", base, {0.5, 0.7}, series, 2);
+    const std::string emitted = ::testing::internal::GetCapturedStdout();
+    ASSERT_EQ(io.finish(base, {"pct_faulty=0.5"}), 0);
+
+    const auto table_at = [](double lambda) {
+        std::vector<Scenario> cells;
+        for (const double p : {0.5, 0.7}) {
+            for (const double ner : {0.0, 0.05}) {
+                Scenario c = tiny_binary();
+                c.engine.trust.lambda = lambda;
+                c.binary.pct_faulty = p;
+                c.faults.missed_alarm_rate = 0.9;
+                c.faults.natural_error_rate = ner;
+                cells.push_back(c);
+            }
+        }
+        const std::vector<double> acc = mean_accuracies(cells, 2);
+        util::Table t("Grid");
+        t.header({"% faulty", "TIBFIT", "NER 5%"});
+        t.row_values({50.0, acc[0], acc[1]}, 3);
+        t.row_values({70.0, acc[2], acc[3]}, 3);
+        std::ostringstream out;
+        t.print_csv(out);
+        return out.str();
+    };
+    ASSERT_NE(table_at(0.3), table_at(tiny_binary().engine.trust.lambda))
+        << "the grid must show whether the knob reached it";
+    EXPECT_EQ(emitted, table_at(0.3));
+    const std::map<std::string, std::string> params = artifact_params(path);
+    ASSERT_TRUE(params.contains("lambda"));
+    EXPECT_EQ(params.at("lambda"), "0.30");
+}
+
+// A user knob naming a field the bench itself sets — the table's rows, a
+// series token, a representative token or a set() — exits 2 naming both,
+// instead of the bench's value silently replacing the user's.
+TEST(BenchIoDeathTest, UserKnobConflictExitsTwo) {
+    const auto with_knob = [](const char* arg, auto body) {
+        char name[] = "bench_fig4";
+        std::string token = arg;
+        char* argv[] = {name, token.data()};
+        BenchIo io("bench_fig4", 2, argv);
+        body(io, io.scenario(tiny_binary()));
+    };
+    const std::vector<Series> series = {{"s", {"correct_sigma=1.6"}}};
+    EXPECT_EXIT(with_knob("pct_faulty=0.9",
+                          [&](BenchIo& io, const Scenario& base) {
+                              io.faulty_table("t", base, {0.4}, {{"s", {}}}, 1);
+                          }),
+                ::testing::ExitedWithCode(2),
+                "^bench_fig4: 'pct_faulty=0.9' conflicts with the rows of this table\n$");
+    EXPECT_EXIT(with_knob("correct_sigma=2",
+                          [&](BenchIo& io, const Scenario& base) {
+                              io.faulty_table("t", base, {0.4}, series, 1);
+                          }),
+                ::testing::ExitedWithCode(2),
+                "^bench_fig4: 'correct_sigma=2' conflicts with 'correct_sigma=1.6'\n$");
+    // Fields match by path, whichever spelling either side used.
+    EXPECT_EXIT(with_knob("faults.false_alarm_rate=0.2",
+                          [](BenchIo& io, Scenario base) {
+                              std::exit(io.finish(base, {"pct_faulty=0.5", "false_alarm_rate=0.1"}));
+                          }),
+                ::testing::ExitedWithCode(2),
+                "^bench_fig4: 'faults.false_alarm_rate=0.2' conflicts with "
+                "'false_alarm_rate=0.1'\n$");
+    EXPECT_EXIT(with_knob("mode=shadow",
+                          [](const BenchIo& io, Scenario base) { io.set(base, "check.mode=off"); }),
+                ::testing::ExitedWithCode(2),
+                "^bench_fig4: 'mode=shadow' conflicts with 'check.mode=off'\n$");
 }
 
 // A knob that parses but leaves a scenario invalid exits 2 with the
